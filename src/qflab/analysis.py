@@ -129,17 +129,12 @@ def solve_alpha_for_budget(scenario: Scenario, budget: float,
     compares its deficit to the budget. Returns 1.0 when even the pure
     quadratic rule fits, and the smallest representable trial when no
     alpha does (the deficit vanishes only in the alpha -> 0 limit).
-
-    Tiny alpha approaches the private-contributions rule, where undamped
-    simultaneous best responses overshoot in large populations; unless the
-    caller overrides it, the inner solves therefore damp by ~2/N.
+    ``solver_kwargs`` pass through to ``solve_equilibrium``.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     if scenario.mechanism.variant is not Variant.CQF:
         raise ValueError("budget calibration applies to the CQF variant")
-    solver_kwargs.setdefault(
-        "damping", min(0.5, 2.0 / (len(scenario.citizens) + 1)))
 
     def deficit_at(alpha: float) -> float:
         cfg = MechanismConfig.cqf(

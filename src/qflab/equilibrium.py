@@ -1,26 +1,24 @@
 """Contribution-game equilibria and welfare benchmarks.
 
-The central entry point is ``solve_equilibrium``: damped Jacobi iteration of
-exact best responses. Each sweep recomputes every citizen's best response
-against the current contribution state, then moves the state by
-``damping`` toward those responses (simultaneous updates keep results
-independent of citizen ordering). Convergence means the sup-norm gap
-between the state and the best responses is at or below the tolerance.
+The central entry point is ``solve_equilibrium``. Goods are independent by
+assumption, so each good is solved on its own by one of two engines:
 
-Two interchangeable per-good engines sit underneath:
+* the vector engine, for concave value families with positive weights.
+  Every rule here is an aggregative game, so a good's equilibrium is one
+  root in its funding level F rather than a fixed point in N dimensions.
+  Each member's first-order condition fixes their share w_i(F) of the rule's
+  aggregate (square roots for the quadratic rules, c**(1/beta) for the
+  power family); the shares fall in F and F solves sum_i w_i(F) = 1 by a
+  bracketed root-find. The linear rules need no root: only the members
+  with the largest target level pay.
+* the scalar engine, for S-shaped values, signed contributions with harmed
+  citizens, shadow prices of 1 or more, and anything else the shares do
+  not cover. It runs damped Jacobi iteration of exact best responses (grid
+  scan over a geometric lattice, bounded refinement, then a derivative
+  polish): each sweep moves the state by ``damping`` toward every
+  citizen's best response, until the sup-norm gap is within the tolerance.
 
-* a vectorized engine for concave value families with positive weights,
-  which solves every citizen's first-order condition simultaneously by
-  safeguarded Newton in a transformed variable (square roots for the
-  quadratic rules, c**(1/beta) for the power family), with bisection as
-  the fallback;
-* a robust scalar engine (grid scan over a geometric lattice, bounded
-  refinement, then a derivative polish) that handles S-shaped values,
-  signed contributions with harmed citizens, and anything else the fast
-  path declines.
-
-Goods are independent by assumption, so each good is solved on its own;
-non-convergence is reported as a diagnostic result, never an exception.
+Non-convergence is reported as a diagnostic result, never an exception.
 """
 
 from __future__ import annotations
@@ -113,15 +111,6 @@ def _valuing(scenario: Scenario, good_id: str):
     return [(c, c.values[good_id]) for c in scenario.citizens if good_id in c.values]
 
 
-def _agg_marginal_fn(vfs: list[ValueFunction]):
-    arrays = _FamilyArrays([(i, vf) for i, vf in enumerate(vfs)])
-
-    def agg(F: float) -> float:
-        return float(arrays.marginal(np.full(len(vfs), float(F))).sum())
-
-    return agg
-
-
 def _global_welfare_argmax(vfs: list[ValueFunction], cost: float) -> float:
     """Global argmax of sum_i V_i(F) - cost*F over F >= 0, by grid scan plus
     bounded refinement. Handles non-concave (S-shaped) and decreasing values."""
@@ -180,15 +169,8 @@ def optimal_funding(scenario: Scenario, good_id: str) -> float:
     agg0 = aggregate_marginal([c for c, _ in vals], good_id, 0.0)
     if agg0 <= 1.0:
         return 0.0
-    agg = _agg_marginal_fn(vfs)
-    hi = 1.0
-    while agg(hi) > 1.0 and hi < 1e200:
-        hi *= 2.0
-    lo = hi / 2.0 if hi > 1.0 else 1.0
-    while agg(lo) <= 1.0 and lo > 1e-200:
-        lo /= 16.0
-    return float(brentq(lambda F: agg(F) - 1.0, lo, hi,
-                        xtol=1e-14 * max(1.0, hi), rtol=8.9e-16))
+    arrays = _FamilyArrays(list(enumerate(vfs)))
+    return _unit_root(lambda F: float(arrays.marginal(F).sum()))[0]
 
 
 def one_p_one_v_outcome(scenario: Scenario, good_id: str) -> float:
@@ -411,7 +393,7 @@ def best_response(citizen: Citizen, good_id: str, others: ContributionProfile,
 
 
 # ---------------------------------------------------------------------------
-# vectorized per-good engine
+# share-function engine for concave goods
 
 
 _FAM_CODE = {Family.SQRT: 0, Family.LOG: 1, Family.ISOELASTIC: 2}
@@ -431,7 +413,9 @@ class _FamilyArrays:
         self.idx_log = np.nonzero(fam == 1)[0]
         self.idx_iso = np.nonzero(fam == 2)[0]
 
-    def marginal(self, F: np.ndarray) -> np.ndarray:
+    def marginal(self, F) -> np.ndarray:
+        """Per-member V'(F); F is one level for all or one per member."""
+        F = np.broadcast_to(np.asarray(F, dtype=float), (self.n,))
         out = np.empty(self.n)
         if self.idx_sqrt.size:
             i = self.idx_sqrt
@@ -444,204 +428,102 @@ class _FamilyArrays:
             out[i] = self.a[i] * self.rho[i] * np.maximum(F[i], 1e-300) ** (self.rho[i] - 1.0)
         return out
 
-    def marginal_prime(self, F: np.ndarray) -> np.ndarray:
-        """dV'/dF per member."""
-        out = np.empty(self.n)
-        Fc = np.maximum(F, 1e-300)
-        if self.idx_sqrt.size:
-            i = self.idx_sqrt
-            out[i] = -self.a[i] / (4.0 * Fc[i] ** 1.5)
-        if self.idx_log.size:
-            i = self.idx_log
-            out[i] = -self.a[i] / (1.0 + F[i]) ** 2
-        if self.idx_iso.size:
-            i = self.idx_iso
-            out[i] = self.a[i] * self.rho[i] * (self.rho[i] - 1.0) * Fc[i] ** (self.rho[i] - 2.0)
-        return out
-
-    def inverse_marginal(self, target: float) -> np.ndarray:
-        """Per-member F with V'(F) = target, 0 where unattainable."""
+    def inverse_marginal(self, target) -> np.ndarray:
+        """Per-member F with V'(F) = target (one for all or one per member),
+        0 where unattainable."""
+        t = np.broadcast_to(np.asarray(target, dtype=float), (self.n,))
         out = np.zeros(self.n)
         if self.idx_sqrt.size:
             i = self.idx_sqrt
-            out[i] = (self.a[i] / (2.0 * target)) ** 2
+            out[i] = (self.a[i] / (2.0 * t[i])) ** 2
         if self.idx_log.size:
             i = self.idx_log
-            out[i] = np.maximum(self.a[i] / target - 1.0, 0.0)
+            out[i] = np.maximum(self.a[i] / t[i] - 1.0, 0.0)
         if self.idx_iso.size:
             i = self.idx_iso
-            out[i] = (target / (self.a[i] * self.rho[i])) ** (1.0 / (self.rho[i] - 1.0))
+            out[i] = (t[i] / (self.a[i] * self.rho[i])) ** (1.0 / (self.rho[i] - 1.0))
         return out
 
 
-class _VectorGood:
-    """Simultaneous exact best responses for one good, concave families only.
+def _shares(arrays: _FamilyArrays, lam: np.ndarray, alpha: float, beta: float):
+    """Each member's equilibrium share w_i(F) of the rule's aggregate.
 
-    Members are the citizens with a positive-weight concave value function
-    for the good (anyone else never contributes under the supported
-    variants). The first-order condition is solved per citizen in a
-    transformed variable z (sqrt of the contribution for the quadratic
-    rules, c**(1/beta) for the power family) by safeguarded Newton with a
-    bisection fallback; the residual function is sign-equivalent to du/dc,
-    so a nonpositive value at z -> 0+ identifies corner citizens.
+    The quadratic rules are the power family at beta = 2, and CQF mixes in
+    the linear rule with weight 1 - alpha (alpha = 1 otherwise). With
+    m = max(V'(F) - lam, 0) the first-order conditions give
+    w = (alpha*m/((1-lam) - (1-alpha)*m))**(1/(beta-1)). A member with
+    m > 0 and a nonpositive denominator gains from every further unit, so
+    F lies below the root and the share is +inf. The sum falls in F.
     """
+    power = 1.0 / (beta - 1.0)
 
-    Z_LO = 1e-30
+    def shares(F: float) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            m = np.maximum(arrays.marginal(F) - lam, 0.0)
+            den = (1.0 - lam) - (1.0 - alpha) * m
+            ratio = np.divide(alpha * m, den, out=np.full(arrays.n, np.inf),
+                              where=den > 0.0)
+            return np.where(m > 0.0, ratio ** power, 0.0)
 
-    def __init__(self, members: list[tuple[int, ValueFunction]], lam: np.ndarray,
-                 config: MechanismConfig):
-        self.arrays = _FamilyArrays(members)
-        self.lam = lam
-        self.cfg = config
-        self.n = len(members)
+    return shares
 
-    # transformed state: z per member, aggregates from the signed state
-    def z_of(self, c: np.ndarray) -> np.ndarray:
-        if self.cfg.variant is Variant.BETA:
-            return c ** (1.0 / self.cfg.beta)
-        if self.cfg.variant in (Variant.QF, Variant.CQF, Variant.PM_QF):
-            return np.sqrt(c)
-        return c.copy()
 
-    def c_of(self, z: np.ndarray) -> np.ndarray:
-        if self.cfg.variant is Variant.BETA:
-            return z ** self.cfg.beta
-        if self.cfg.variant in (Variant.QF, Variant.CQF, Variant.PM_QF):
-            return z * z
-        return z.copy()
+def _unit_root(g) -> tuple[float, int]:
+    """F with g(F) = 1 for a g that falls in F and exceeds 1 near 0, and
+    the root finder's iteration count. Brackets by doubling up from 1 or
+    dividing down by 16, then runs brentq to full precision."""
+    lo, hi = 0.5, 1.0
+    while g(hi) > 1.0 and hi < 1e200:
+        lo, hi = hi, 2.0 * hi
+    while g(lo) <= 1.0 and lo > 1e-200:
+        lo, hi = lo / 16.0, lo
+    F, info = brentq(lambda F: g(F) - 1.0, lo, hi, xtol=1e-300, rtol=8.9e-16,
+                     full_output=True, disp=False)
+    return float(F), info.iterations
 
-    def _res(self, z, s, A_o, lam):
-        """First-order-condition residual, positive where utility is rising."""
-        v = self.cfg.variant
-        if v in (Variant.QF, Variant.PM_QF):
-            T = s + z
-            F = T * T
-            return (self.arrays.marginal(F) - lam) * T - (1.0 - lam) * z
-        if v is Variant.CQF:
-            al = self.cfg.alpha
-            T = s + z
-            F = al * T * T + (1.0 - al) * (A_o + z * z)
-            return (self.arrays.marginal(F) - lam) * (al * T + (1.0 - al) * z) \
-                - (1.0 - lam) * z
-        b = self.cfg.beta
-        Yt = s + z
-        F = Yt ** b
-        return (self.arrays.marginal(F) - lam) * Yt ** (b - 1.0) \
-            - (1.0 - lam) * z ** (b - 1.0)
 
-    def _res_dres(self, z, s, A_o, lam):
-        """Residual plus its z-derivative, for the guarded Newton solve."""
-        v = self.cfg.variant
-        if v in (Variant.QF, Variant.PM_QF):
-            T = s + z
-            F = T * T
-            M = self.arrays.marginal(F)
-            Mp = self.arrays.marginal_prime(F)
-            res = (M - lam) * T - (1.0 - lam) * z
-            dres = 2.0 * Mp * T * T + (M - lam) - (1.0 - lam)
-            return res, dres
-        if v is Variant.CQF:
-            al = self.cfg.alpha
-            T = s + z
-            F = al * T * T + (1.0 - al) * (A_o + z * z)
-            W = al * T + (1.0 - al) * z
-            M = self.arrays.marginal(F)
-            Mp = self.arrays.marginal_prime(F)
-            res = (M - lam) * W - (1.0 - lam) * z
-            dres = 2.0 * Mp * W * W + (M - lam) - (1.0 - lam)
-            return res, dres
-        b = self.cfg.beta
-        Yt = s + z
-        F = Yt ** b
-        W = Yt ** (b - 1.0)
-        M = self.arrays.marginal(F)
-        Mp = self.arrays.marginal_prime(F)
-        zc = np.maximum(z, 1e-300)
-        res = (M - lam) * W - (1.0 - lam) * zc ** (b - 1.0)
-        dres = b * Mp * W * W + (b - 1.0) * (
-            (M - lam) * Yt ** (b - 2.0) - (1.0 - lam) * zc ** (b - 2.0))
-        return res, dres
+def _solve_good_vector(scenario, good_id, config, tolerance):
+    """Equilibrium of one concave good without iterating on the state.
 
-    def best_responses(self, c: np.ndarray) -> np.ndarray:
-        v = self.cfg.variant
-        lam = self.lam
-        if v in (Variant.PRIVATE, Variant.LINEAR_MATCH):
-            # linear rules solve V'(F) = (1 + lam*(scale-1))/scale directly
-            scale = self.cfg.scale if v is Variant.LINEAR_MATCH else 1.0
-            target = (1.0 + lam * (scale - 1.0)) / scale
-            A_o = c.sum() - c
-            F_t = np.empty(self.n)
-            for t in np.unique(target):
-                mask = target == t
-                F_t[mask] = self.arrays.inverse_marginal(float(t))[mask]
-            return np.maximum(0.0, F_t / scale - A_o)
+    Under the linear rules each member's target level solves
+    V'(F_i) = (1 + lam*(scale-1))/scale; F is the largest target and the
+    members at exactly that target split F/scale equally. Every other rule
+    is an aggregative game: F solves sum_i w_i(F) = 1 (``_shares``) and
+    each member pays their share of the aggregate.
+    """
+    members = [
+        (i, cit, cit.values[good_id])
+        for i, cit in enumerate(scenario.citizens)
+        if good_id in cit.values and cit.values[good_id].a > 0
+    ]
+    lam = np.array(
+        [cit.lam if config.deficit_mode is DeficitMode.SHADOW_PRICES else 0.0
+         for _, cit, _ in members])
+    arrays = _FamilyArrays([(i, vf) for i, _, vf in members])
+    x = np.zeros(len(members))
+    v = config.variant
+    if v in (Variant.PRIVATE, Variant.LINEAR_MATCH) or (
+            v is Variant.BETA and config.beta == 1.0):
+        scale = config.scale if v is Variant.LINEAR_MATCH else 1.0
+        targets = arrays.inverse_marginal((1.0 + lam * (scale - 1.0)) / scale)
+        F = float(targets.max(initial=0.0))
+        if F > 0.0:
+            top = targets == F
+            x[top] = F / scale / np.count_nonzero(top)
+        return members, x, GoodDiagnostics(True, 0, 0.0, 0.0, "vector")
 
-        z = self.z_of(c)
-        s = z.sum() - z
-        A_o = c.sum() - c
-
-        res_lo = self._res(np.full(self.n, self.Z_LO), s, A_o, lam)
-        active = res_lo > 0.0
-        z_br = np.zeros(self.n)
-        if not active.any():
-            return z_br
-
-        # exact responses for SQRT members under pure QF: z = a/2 - lam*s
-        solved = np.zeros(self.n, dtype=bool)
-        if v in (Variant.QF, Variant.PM_QF) and self.arrays.idx_sqrt.size:
-            i = self.arrays.idx_sqrt
-            z_br[i] = np.maximum(0.0, self.arrays.a[i] / 2.0 - lam[i] * s[i])
-            solved[i] = True
-
-        todo = active & ~solved
-        if todo.any():
-            z_br = self._newton(z, s, A_o, lam, todo, z_br)
-
-        z_br[~active] = 0.0
-        return self.c_of(z_br)
-
-    def _newton(self, z, s, A_o, lam, todo, z_br):
-        """Safeguarded Newton on the FOC residual, warm-started from the
-        current state; lanes that fail to settle fall back to bisection."""
-        zn = np.where(z > 1e-12, z, 1.0)
-        lo = np.full(self.n, self.Z_LO)
-        hi = np.full(self.n, np.inf)
-        live = todo.copy()
-        for _ in range(50):
-            res, dres = self._res_dres(zn, s, A_o, lam)
-            lo = np.where(live & (res > 0.0), np.maximum(lo, zn), lo)
-            hi = np.where(live & (res < 0.0), np.minimum(hi, zn), hi)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                step = res / dres
-                z_new = zn - step
-            bad = ~np.isfinite(z_new) | (z_new <= lo) | (z_new >= hi)
-            z_new = np.where(
-                bad,
-                np.where(np.isinf(hi), np.maximum(2.0 * zn, 1.0), 0.5 * (lo + hi)),
-                z_new,
-            )
-            moved = np.abs(z_new - zn) > 1e-14 * np.maximum(1.0, zn)
-            live &= moved
-            zn = np.where(todo, z_new, zn)
-            if not live.any():
-                break
-        z_br[todo & ~live] = zn[todo & ~live]
-        if live.any():
-            # rare: bracketed bisection on the stubborn lanes
-            b_hi = np.where(live, np.maximum(1.0, 2.0 * z), self.Z_LO)
-            for _ in range(120):
-                grow = live & (self._res(b_hi, s, A_o, lam) > 0.0)
-                if not grow.any():
-                    break
-                b_hi = np.where(grow, 2.0 * b_hi, b_hi)
-            b_lo = np.full(self.n, self.Z_LO)
-            for _ in range(90):
-                mid = 0.5 * (b_lo + b_hi)
-                pos = self._res(mid, s, A_o, lam) > 0.0
-                b_lo = np.where(pos, mid, b_lo)
-                b_hi = np.where(pos, b_hi, mid)
-            z_br[live] = 0.5 * (b_lo + b_hi)[live]
-        return z_br
+    alpha = config.alpha if v is Variant.CQF else 1.0
+    beta = config.beta if v is Variant.BETA else 2.0
+    shares = _shares(arrays, lam, alpha, beta)
+    iterations, residual = 0, 0.0
+    if shares(0.0).sum() > 1.0:
+        F, iterations = _unit_root(lambda F: float(shares(F).sum()))
+        w = shares(F)
+        residual = abs(float(w.sum()) - 1.0)
+        # c_i = (w_i*T)**beta, where T**beta = F/(alpha + (1-alpha)*sum w**2)
+        x = w ** beta * F / (alpha + (1.0 - alpha) * float(np.sum(w * w)))
+    return members, x, GoodDiagnostics(
+        residual <= tolerance, iterations, residual, 0.0, "vector")
 
 
 # ---------------------------------------------------------------------------
@@ -723,24 +605,6 @@ def _solve_good_scalar(scenario, good_id, config, tolerance, max_iters, damping,
     return members, x, GoodDiagnostics(converged, iters, resid, d, "scalar")
 
 
-def _solve_good_vector(scenario, good_id, config, tolerance, max_iters, damping,
-                       x0=None):
-    members = [
-        (i, cit, cit.values[good_id])
-        for i, cit in enumerate(scenario.citizens)
-        if good_id in cit.values and cit.values[good_id].a > 0
-    ]
-    n = len(members)
-    lam = np.array(
-        [cit.lam if config.deficit_mode is DeficitMode.SHADOW_PRICES else 0.0
-         for _, cit, _ in members])
-    game = _VectorGood([(i, vf) for i, _, vf in members], lam, config)
-    br = game.best_responses
-    x0 = np.zeros(n) if x0 is None else x0
-    x, converged, iters, resid, d = _jacobi(n, br, x0, tolerance, max_iters, damping)
-    return members, x, GoodDiagnostics(converged, iters, resid, d, "vector")
-
-
 def _share_start(scenario, good_id, members, config):
     """Start every citizen at her first-order share of the optimal level."""
     F_star = optimal_funding(scenario, good_id)
@@ -774,6 +638,11 @@ def _needs_scalar(scenario, good_id, config) -> bool:
     vfs = [c.values[good_id] for c in scenario.citizens if good_id in c.values]
     if any(vf.family is Family.SSHAPED for vf in vfs):
         return True
+    if config.deficit_mode is DeficitMode.SHADOW_PRICES and any(
+        c.lam >= 1.0 for c in scenario.citizens if good_id in c.values
+    ):
+        # the share functions assume 1 - lam > 0
+        return True
     if config.variant is Variant.PM_QF:
         if any(vf.a <= 0 for vf in vfs):
             return True
@@ -788,8 +657,7 @@ def _solve_good(scenario, good_id, config, tolerance, max_iters, damping, engine
     use_scalar = engine == "scalar" or (engine == "auto" and _needs_scalar(
         scenario, good_id, config))
     if not use_scalar:
-        members, x, diag = _solve_good_vector(
-            scenario, good_id, config, tolerance, max_iters, damping)
+        members, x, diag = _solve_good_vector(scenario, good_id, config, tolerance)
         if (config.variant is Variant.PM_QF
                 and config.deficit_mode is DeficitMode.SHADOW_PRICES):
             # the positive branch presumed V' >= lam; re-solve robustly if not
@@ -838,12 +706,15 @@ def solve_equilibrium(scenario: Scenario, tolerance: float = 1e-8,
                       engine: str = "auto") -> EquilibriumResult:
     """Nash equilibrium of the contribution game under the active rule.
 
-    Damped Jacobi best-response iteration per good. ``engine`` may force
-    the "vector" fast path or the "scalar" robust path; "auto" picks per
-    good. Non-convergence yields converged=False with diagnostics rather
-    than an exception. Non-concave goods are attempted from two starts
-    (all-zero and optimal-share); when both converge to distinct fixed
-    points the welfare-better one is reported and the other is attached as
+    ``engine`` may force the "vector" share-function root or the "scalar"
+    best-response iteration; "auto" picks per good (module docstring).
+    ``tolerance``, ``max_iters`` and ``damping`` govern the scalar engine;
+    a vector good is converged when its shares sum to 1 within
+    ``tolerance``, and its diagnostics count root-finder iterations.
+    Non-convergence yields converged=False with diagnostics rather than an
+    exception. Non-concave goods are attempted from two starts (all-zero
+    and optimal-share); when both converge to distinct fixed points the
+    welfare-better one is reported and the other is attached as
     ``alternate``.
     """
     if engine not in ("auto", "vector", "scalar"):
@@ -852,68 +723,54 @@ def solve_equilibrium(scenario: Scenario, tolerance: float = 1e-8,
         raise ValueError("damping must lie in (0, 1]")
     config = scenario.mechanism
     profiles: dict[str, ContributionProfile] = {}
-    alt_profiles: dict[str, ContributionProfile] = {}
-    diagnostics: dict[str, GoodDiagnostics] = {}
     funding: dict[str, float] = {}
+    diagnostics: dict[str, GoodDiagnostics] = {}
+    alt_profiles: dict[str, ContributionProfile] = {}
+    alt_diagnostics: dict[str, GoodDiagnostics] = {}
 
     for good in scenario.goods:
         if config.variant is Variant.ONE_P_ONE_V:
-            F = one_p_one_v_outcome(scenario, good)
             profiles[good] = ContributionProfile(good, ())
-            funding[good] = F
+            funding[good] = one_p_one_v_outcome(scenario, good)
             diagnostics[good] = GoodDiagnostics(True, 0, 0.0, damping, "vote")
             continue
-        members, x, diag, alt = _solve_good(
+        members, x, diagnostics[good], alt = _solve_good(
             scenario, good, config, tolerance, max_iters, damping, engine)
         profiles[good] = _profile_from_state(good, members, x)
         funding[good] = fund(profiles[good], config)
-        diagnostics[good] = diag
         if alt is not None:
             alt_profiles[good] = _profile_from_state(good, members, alt[0])
+            alt_diagnostics[good] = alt[1]
 
+    result = _assemble_result(scenario, profiles, funding, diagnostics)
+    if alt_profiles:
+        merged = {**profiles, **alt_profiles}
+        result.alternate = _assemble_result(
+            scenario, merged, {g: fund(p, config) for g, p in merged.items()},
+            {**diagnostics, **alt_diagnostics})
+    return result
+
+
+def _assemble_result(scenario, profiles, funding, diagnostics) -> EquilibriumResult:
+    """Deficit, per-capita taxes and the aggregate-marginal report around
+    per-good profiles and funding levels; the convergence summary is the
+    worst over ``diagnostics``."""
     deficit = math.fsum(funding.values()) - math.fsum(
         p.total() for p in profiles.values())
     n = len(scenario.citizens)
-    taxes = dict(zip((c.id for c in scenario.citizens),
-                     settle_deficit(FundingOutcome(funding, deficit, deficit / n), n)))
-    marginal_report = {
-        g: aggregate_marginal(scenario.citizens, g, funding[g])
-        for g in scenario.goods
-    }
-    result = EquilibriumResult(
+    taxes = settle_deficit(FundingOutcome(funding, deficit, deficit / n), n)
+    return EquilibriumResult(
         contributions=profiles,
         funding=funding,
         deficit=deficit,
-        taxes=taxes,
-        marginal_report=marginal_report,
+        taxes=dict(zip((c.id for c in scenario.citizens), taxes)),
+        marginal_report={g: aggregate_marginal(scenario.citizens, g, funding[g])
+                         for g in scenario.goods},
         converged=all(d.converged for d in diagnostics.values()),
         iterations=max((d.iterations for d in diagnostics.values()), default=0),
         residual=max((d.residual for d in diagnostics.values()), default=0.0),
         diagnostics=diagnostics,
     )
-    if alt_profiles:
-        merged = dict(profiles)
-        merged.update(alt_profiles)
-        alt_funding = {g: fund(p, config) for g, p in merged.items()}
-        alt_deficit = math.fsum(alt_funding.values()) - math.fsum(
-            p.total() for p in merged.values())
-        result.alternate = EquilibriumResult(
-            contributions=merged,
-            funding=alt_funding,
-            deficit=alt_deficit,
-            taxes=dict(zip(
-                (c.id for c in scenario.citizens),
-                settle_deficit(FundingOutcome(alt_funding, alt_deficit,
-                                              alt_deficit / n), n))),
-            marginal_report={
-                g: aggregate_marginal(scenario.citizens, g, alt_funding[g])
-                for g in scenario.goods
-            },
-            converged=True,
-            iterations=result.iterations,
-            residual=result.residual,
-        )
-    return result
 
 
 def closed_form_qf_equilibrium(scenario: Scenario) -> EquilibriumResult:
@@ -927,29 +784,16 @@ def closed_form_qf_equilibrium(scenario: Scenario) -> EquilibriumResult:
         raise ValueError("closed form applies to the QF variant only")
     profiles = {}
     funding = {}
-    marginal_report = {}
     for good in scenario.goods:
         vals = _valuing(scenario, good)
         for _, vf in vals:
             if vf.family is not Family.SQRT or vf.a <= 0:
                 raise ValueError(
                     "closed form requires positive-weight SQRT values")
-        entries = tuple(
-            Contribution(c.id, (vf.a / 2.0) ** 2) for c, vf in vals)
-        profiles[good] = ContributionProfile(good, entries)
+        profiles[good] = ContributionProfile(good, tuple(
+            Contribution(c.id, (vf.a / 2.0) ** 2) for c, vf in vals))
         root = math.fsum(vf.a for _, vf in vals) / 2.0
         funding[good] = root * root
-        marginal_report[good] = (
-            math.fsum(vf.a for _, vf in vals) / (2.0 * root) if root > 0 else 0.0)
-    deficit = math.fsum(funding.values()) - math.fsum(
-        p.total() for p in profiles.values())
-    n = len(scenario.citizens)
-    taxes = dict(zip((c.id for c in scenario.citizens),
-                     settle_deficit(FundingOutcome(funding, deficit, deficit / n), n)))
-    return EquilibriumResult(
-        contributions=profiles, funding=funding, deficit=deficit, taxes=taxes,
-        marginal_report=marginal_report, converged=True, iterations=0,
-        residual=0.0,
-        diagnostics={g: GoodDiagnostics(True, 0, 0.0, 0.0, "closed-form")
-                     for g in scenario.goods},
-    )
+    return _assemble_result(
+        scenario, profiles, funding,
+        {g: GoodDiagnostics(True, 0, 0.0, 0.0, "closed-form") for g in scenario.goods})

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from qflab import (
@@ -21,7 +22,7 @@ from qflab import (
     solve_equilibrium,
     welfare,
 )
-from conftest import sqrt_scenario
+from conftest import random_concave_citizens, sqrt_scenario
 
 
 class TestWelfare:
@@ -86,6 +87,17 @@ class TestAlphaForBudget:
             Scenario(citizens, goods, MechanismConfig.cqf(got)))
         assert check.deficit <= budget + 1e-9
         assert budget - check.deficit <= 1e-3 * max(budget, 1.0)
+
+    def test_mixed_population_default_kwargs(self):
+        # every inner solve must converge, down to alpha_min
+        citizens = random_concave_citizens(np.random.default_rng(9), 50)
+        at_one = Scenario(citizens, ["g"], MechanismConfig.cqf(1.0))
+        budget = 0.3 * solve_equilibrium(at_one).deficit
+        sc = Scenario(citizens, ["g"], MechanismConfig.cqf(0.5))
+        got = solve_alpha_for_budget(sc, budget)
+        assert 1e-6 < got < 1.0
+        check = solve_equilibrium(Scenario(citizens, ["g"], MechanismConfig.cqf(got)))
+        assert check.deficit <= budget + 1e-9
 
     def test_requires_cqf(self):
         sc = sqrt_scenario([2.0])

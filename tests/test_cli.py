@@ -94,17 +94,17 @@ class TestEquilibrium:
         assert good["optimal"] == pytest.approx(36.0, rel=1e-9)
 
     def test_nonconvergence_exit_3(self, tmp_path, capsys):
+        # a harmed citizen sends PM_QF to the iterative scalar engine
         scenario = {
-            "mechanism": {"variant": "PRIVATE"},
+            "mechanism": {"variant": "PM_QF"},
             "goods": ["g"],
             "citizens": [
-                {"id": f"c{i}",
-                 "values": {"g": {"family": "SQRT", "params": {"a": 2}}}}
-                for i in range(40)
+                {"id": cid, "values": {"g": {"family": "SQRT", "params": {"a": a}}}}
+                for cid, a in (("a", 6), ("b", 5), ("h", -3))
             ],
         }
         path = write(tmp_path, "s.json", scenario)
-        code = main(["equilibrium", path, "--max-iters", "100"])
+        code = main(["equilibrium", path, "--max-iters", "3"])
         out = capsys.readouterr().out
         assert code == 3
         assert "converged=False" in out
