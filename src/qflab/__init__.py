@@ -71,7 +71,6 @@ from .rounds import (
     RoundLedger,
     SettlementStatus,
     ThresholdPledger,
-    apply_event,
     assurance_settlement,
     ledger_to_csv,
     provisional_snapshot,

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .errors import PolicyError
+from .errors import NoSolutionError, PolicyError
 from .mechanisms import (
     Contribution,
     ContributionProfile,
@@ -301,13 +301,22 @@ class _Objective:
         return val0 - self.lam * (F0 - self.A_o)
 
 
+# The bounded search multiplies three contribution differences together, so
+# an upper bracket much past 1e100 overflows; no best response lies there.
+_C_MAX = 1e100
+
+
 def _maximize_branch(obj: _Objective) -> tuple[float, float]:
     """Best positive contribution on one sign branch: geometric grid scan,
     bounded refinement, then a derivative polish where a first-order
-    bracket exists."""
+    bracket exists. Raises NoSolutionError when the upper bracket passes
+    _C_MAX."""
     c_hi = max(1.0, obj.A_o, obj.s_o * obj.s_o, _family_scale(obj.vf))
     sshaped = obj.vf is not None and obj.vf.family is Family.SSHAPED
     for _ in range(200):
+        if c_hi > _C_MAX:
+            raise NoSolutionError(
+                f"no best response below {_C_MAX:g}: others hold {obj.A_o:g}")
         decreasing = obj.du(c_hi) < 0 and obj.u(c_hi) <= obj.u(0.5 * c_hi)
         past_hump = not sshaped or float(obj.F(c_hi)) >= obj.vf.m
         if decreasing and past_hump:
@@ -325,8 +334,14 @@ def _maximize_branch(obj: _Objective) -> tuple[float, float]:
         a2 = max(c_star * (1.0 - w), 1e-14)
         b2 = c_star * (1.0 + w)
         if obj.du(a2) > 0.0 > obj.du(b2):
-            c_star = float(brentq(obj.du, a2, b2,
-                                  xtol=1e-15 * max(1.0, c_star), rtol=8.9e-16))
+            try:
+                c_star = float(brentq(obj.du, a2, b2,
+                                      xtol=1e-15 * max(1.0, c_star), rtol=8.9e-16))
+            except ValueError:
+                # du is NaN at a sign-branch crossing (F = 0) inside the
+                # bracket; that kink has no root to polish, the bounded
+                # search's point stands
+                pass
             break
     return c_star, obj.u(c_star)
 
@@ -545,7 +560,12 @@ def _jacobi(n, br_fn, x0, tolerance, max_iters, damping):
     converged = False
     for it in range(1, max_iters + 1):
         iterations = it
-        x_br = br_fn(x)
+        try:
+            x_br = br_fn(x)
+        except NoSolutionError:
+            # the state has diverged past where best responses exist
+            residual = math.inf
+            break
         residual = float(np.max(np.abs(x_br - x))) if n else 0.0
         if residual <= tolerance:
             converged = True

@@ -10,10 +10,17 @@ Determinism contract: a round is a single sequential event loop; same-tick
 agents act in an order drawn from a seeded generator, so identical
 (scenario, agents, seed) inputs replay to bit-identical ledgers. Replaying
 a ledger's events reproduces every recorded snapshot exactly.
+
+The event log is kept in tick order. When the first event of a later tick
+arrives, the ledger checkpoints the committed state as it stood at the end
+of the previous tick, so a delayed view (the state as of any earlier tick)
+is a lookup rather than a replay of the log. Each value in a view is the
+same sum, in event order, that a replay would compute.
 """
 
 from __future__ import annotations
 
+import bisect
 import io
 import json
 import math
@@ -76,7 +83,8 @@ class AssurancePolicy:
 
 
 class RoundLedger:
-    """Append-only event log plus per-tick snapshots and the settlement."""
+    """Append-only, tick-ordered event log plus per-tick snapshots and the
+    settlement."""
 
     def __init__(self, window_end: int):
         if window_end < 1:
@@ -85,31 +93,36 @@ class RoundLedger:
         self.events: list[RoundEvent] = []
         self.snapshots: list[tuple[int, dict[str, float]]] = []
         self.settlement: dict[str, GoodSettlement] | None = None
+        self.goods_seen: set[str] = set()
         self._committed: dict[tuple[str, str], float] = {}
+        self._live: dict[str, dict[str, float]] | None = {}
+        # _checkpoints[i] is the by-good state at the end of _checkpoint_ticks[i]
+        self._checkpoint_ticks: list[int] = []
+        self._checkpoints: list[dict[str, dict[str, float]]] = []
 
     def committed(self, citizen_id: str, good_id: str) -> float:
         return self._committed.get((citizen_id, good_id), 0.0)
 
-    def commitments_by_good(self, as_of: float | None = None) -> dict[str, dict[str, float]]:
-        """Committed amounts per good, optionally replayed up to a tick."""
-        if as_of is None:
-            out: dict[str, dict[str, float]] = {}
+    def _by_good(self) -> dict[str, dict[str, float]]:
+        if self._live is None:
+            live: dict[str, dict[str, float]] = {}
             for (cid, gid), amt in self._committed.items():
                 if amt > 0:
-                    out.setdefault(gid, {})[cid] = amt
-            return out
-        state: dict[tuple[str, str], float] = {}
-        for e in self.events:
-            if e.time > as_of:
-                continue
-            key = (e.citizen_id, e.good_id)
-            delta = e.amount if e.kind is EventKind.CONTRIBUTE else -e.amount
-            state[key] = state.get(key, 0.0) + delta
-        out = {}
-        for (cid, gid), amt in state.items():
-            if amt > 0:
-                out.setdefault(gid, {})[cid] = amt
-        return out
+                    live.setdefault(gid, {})[cid] = amt
+            self._live = live
+        return self._live
+
+    def commitments_by_good(self, as_of: float | None = None) -> dict[str, dict[str, float]]:
+        """Positive committed amounts per good, at the end of tick ``as_of``
+        (any real, inf included) or now. Every call returns fresh dicts."""
+        if as_of is not None and math.isnan(as_of):
+            raise ValueError("as_of must not be NaN")
+        if as_of is None or (self.events and as_of >= self.events[-1].time):
+            state = self._by_good()
+        else:
+            i = bisect.bisect_right(self._checkpoint_ticks, as_of)
+            state = self._checkpoints[i - 1] if i else {}
+        return {g: dict(held) for g, held in state.items()}
 
     def apply(self, event: RoundEvent) -> "RoundLedger":
         if self.settlement is not None:
@@ -118,20 +131,25 @@ class RoundLedger:
             raise ValueError(
                 f"event at tick {event.time} rejected: window closed at "
                 f"{self.window_end}")
+        last = self.events[-1].time if self.events else None
+        if last is not None and event.time < last:
+            raise ValueError(
+                f"event at tick {event.time} rejected: the log is at tick {last}")
         key = (event.citizen_id, event.good_id)
         held = self._committed.get(key, 0.0)
         if event.kind is EventKind.WITHDRAW and event.amount > held:
             raise ValueError(
                 f"withdrawal of {event.amount} rejected: {event.citizen_id!r} "
                 f"holds only {held} on {event.good_id!r}")
+        if last is not None and event.time > last:
+            self._checkpoint_ticks.append(last)
+            self._checkpoints.append(self._by_good())
         delta = event.amount if event.kind is EventKind.CONTRIBUTE else -event.amount
         self._committed[key] = held + delta
+        self._live = None
+        self.goods_seen.add(event.good_id)
         self.events.append(event)
         return self
-
-
-def apply_event(ledger: RoundLedger, event: RoundEvent) -> RoundLedger:
-    return ledger.apply(event)
 
 
 def provisional_snapshot(ledger: RoundLedger, tick: int, config: MechanismConfig,
@@ -143,10 +161,10 @@ def provisional_snapshot(ledger: RoundLedger, tick: int, config: MechanismConfig
     of reported goods (defaults to every good seen in the ledger), which
     keeps recorded snapshots replayable when goods first appear mid-round.
     """
-    if delay < 0:
+    if not (delay >= 0):
         raise ValueError("delay must be nonnegative")
     cutoff = tick - delay
-    all_goods = {e.good_id for e in ledger.events} | set(goods)
+    all_goods = ledger.goods_seen | set(goods)
     if cutoff < 0:
         return {g: 0.0 for g in all_goods}
     by_good = ledger.commitments_by_good(as_of=cutoff)
@@ -235,8 +253,7 @@ def assurance_settlement(ledger: RoundLedger, policy: AssurancePolicy,
     """Settle every good: fund at its rule value when the threshold is met,
     otherwise refund each citizen's committed amount exactly."""
     by_good = ledger.commitments_by_good()
-    goods = (set(by_good) | set(policy.threshold)
-             | {e.good_id for e in ledger.events} | set(goods))
+    goods = set(by_good) | set(policy.threshold) | ledger.goods_seen | set(goods)
     settlement = {}
     for g in sorted(goods):
         amounts = by_good.get(g, {})
@@ -265,6 +282,8 @@ def run_round(scenario: Scenario, agents: dict[str, object], window_end: int,
     the assurance policy settles every good. Failure to reach any
     particular state is not an error; the ledger records whatever happened.
     """
+    if not (delay >= 0):
+        raise ValueError("delay must be nonnegative")
     policy = assurance or AssurancePolicy()
     ledger = RoundLedger(window_end)
     rng = random.Random(seed)
@@ -273,8 +292,7 @@ def run_round(scenario: Scenario, agents: dict[str, object], window_end: int,
         order = ids[:]
         rng.shuffle(order)
         for cid in order:
-            cutoff = tick - delay
-            delayed = ledger.commitments_by_good(as_of=cutoff) if cutoff >= 0 else {}
+            delayed = ledger.commitments_by_good(as_of=tick - delay)
             own = {g: ledger.committed(cid, g) for g in scenario.goods}
             view = AgentView(tick=tick, delayed_commitments=delayed,
                              own_committed=own, config=scenario.mechanism,

@@ -140,9 +140,10 @@ def _parse_round(spec, goods: list[str], citizen_ids: set[str]) -> RoundSpec:
             or isinstance(spec["seed"], bool):
         raise ScenarioFormatError(
             "round.seed: a seed is required (reproducibility contract)")
-    delay = spec.get("delay", 0)
-    if delay is not None and (not isinstance(delay, (int, float)) or delay < 0):
-        raise ScenarioFormatError("round.delay: expected a nonnegative number")
+    delay = _number(spec.get("delay", 0), "round.delay")
+    if not (delay >= 0):
+        raise ScenarioFormatError(
+            f"round.delay: expected a nonnegative number or Infinity, got {delay!r}")
     assurance = {}
     for g, t in (spec.get("assurance") or {}).items():
         if g not in goods:
@@ -168,7 +169,7 @@ def _parse_round(spec, goods: list[str], citizen_ids: set[str]) -> RoundSpec:
                     f"round.agents.{cid}.shares: unknown good {g!r}")
         agents[cid] = AgentSpec(policy=policy, shares=shares)
     return RoundSpec(window_end=spec["window_end"], seed=spec["seed"],
-                     delay=float(delay), assurance=assurance, agents=agents)
+                     delay=delay, assurance=assurance, agents=agents)
 
 
 def parse_scenario(source) -> tuple[Scenario, RoundSpec | None]:

@@ -280,6 +280,13 @@ class TestRound:
         assert main(["round", path]) == 2
         assert "seed" in capsys.readouterr().err
 
+    def test_null_delay_exit_2(self, tmp_path, capsys):
+        data = json.loads(json.dumps(ROUND_SCENARIO))
+        data["round"]["delay"] = None
+        path = write(tmp_path, "s.json", data)
+        assert main(["round", path]) == 2
+        assert "delay" in capsys.readouterr().err
+
     def test_missing_round_block_exit_2(self, tmp_path, capsys):
         path = write(tmp_path, "s.json", SCENARIO_QF)
         assert main(["round", path]) == 2

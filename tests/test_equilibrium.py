@@ -301,6 +301,37 @@ class TestSolveEquilibrium:
         assert r.residual > 0
         assert r.iterations == 3
 
+    def test_harmed_citizen_driving_funding_to_zero_does_not_raise(self):
+        # the harmed citizen's best response sits on the kink where its sign
+        # branch drives F to 0; the derivative is NaN there
+        cits = [Citizen(f"s{i}", {"g": ValueFunction.sqrt(a)})
+                for i, a in enumerate([1.0468, 1.8106, 1.4908, 1.0763])]
+        cits.append(Citizen("h", {"g": ValueFunction.sqrt(-3.8168)}))
+        sc = Scenario(cits, ["g"], MechanismConfig.pm_qf())
+        r = solve_equilibrium(sc, max_iters=20)
+        d = r.diagnostics["g"]
+        assert d.engine == "scalar" and d.iterations == 20
+        assert math.isfinite(r.funding["g"]) and math.isfinite(r.residual)
+
+    @pytest.mark.parametrize("case", ["sqrt3", "random6"])
+    def test_diverging_shadow_price_state_is_diagnostic(self, case):
+        # lambda > 1 under PM_QF: each citizen offsets the others' deficit
+        # by more than it costs, and the state grows without bound
+        if case == "sqrt3":
+            cits = [Citizen(f"c{a}", {"g": ValueFunction.sqrt(a)}, lam=1.2)
+                    for a in (2.0, 3.0, 4.0)]
+            max_iters = 50
+        else:
+            cits = [Citizen(c.id, c.values, lam=1.2)
+                    for c in random_concave_citizens(np.random.default_rng(1), 6)]
+            max_iters = 10000
+        cfg = MechanismConfig.pm_qf(deficit_mode=DeficitMode.SHADOW_PRICES)
+        r = solve_equilibrium(Scenario(cits, ["g"], cfg), max_iters=max_iters)
+        assert not r.converged
+        assert r.diagnostics["g"].engine == "scalar"
+        assert r.residual > 0
+        assert r.iterations <= max_iters
+
     def test_private_exact_tie_splits_equally(self):
         sc = sqrt_scenario([2.0] * 50, MechanismConfig.private())
         r = solve_equilibrium(sc)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -14,7 +15,6 @@ from qflab import (
     MyopicBestResponse,
     ThresholdPledger,
     ValueFunction,
-    apply_event,
     assurance_settlement,
     closed_form_qf_equilibrium,
     ledger_to_csv,
@@ -29,11 +29,11 @@ QF = MechanismConfig.qf()
 
 
 def contribute(ledger, tick, cid, gid, amount):
-    return apply_event(ledger, RoundEvent(tick, cid, gid, EventKind.CONTRIBUTE, amount))
+    return ledger.apply(RoundEvent(tick, cid, gid, EventKind.CONTRIBUTE, amount))
 
 
 def withdraw(ledger, tick, cid, gid, amount):
-    return apply_event(ledger, RoundEvent(tick, cid, gid, EventKind.WITHDRAW, amount))
+    return ledger.apply(RoundEvent(tick, cid, gid, EventKind.WITHDRAW, amount))
 
 
 class TestLedger:
@@ -72,6 +72,79 @@ class TestLedger:
             RoundEvent(-1, "a", "g", EventKind.CONTRIBUTE, 1.0)
         with pytest.raises(ValueError):
             RoundEvent(0, "a", "g", EventKind.CONTRIBUTE, 0.0)
+
+
+def replay(events, as_of):
+    """Committed amounts per good after every event at or before as_of."""
+    state = {}
+    for e in events:
+        if e.time <= as_of:
+            sign = 1.0 if e.kind is EventKind.CONTRIBUTE else -1.0
+            key = (e.citizen_id, e.good_id)
+            state[key] = state.get(key, 0.0) + sign * e.amount
+    out = {}
+    for (cid, gid), amt in state.items():
+        if amt > 0:
+            out.setdefault(gid, {})[cid] = amt
+    return out
+
+
+def random_ledger(seed, window_end=12):
+    """Events in tick order: contributions, partial withdrawals, withdrawals
+    down to exactly zero, re-contributions, and ticks with no events."""
+    rnd = random.Random(seed)
+    led = RoundLedger(window_end)
+    for tick in range(window_end):
+        for _ in range(rnd.choice([0, 0, 1, 3, 6])):
+            cid, gid = rnd.choice("abcd"), rnd.choice(["g", "h", "k"])
+            held = led.committed(cid, gid)
+            move = rnd.random()
+            if held > 0 and move < 0.3:
+                withdraw(led, tick, cid, gid, held)
+            elif held > 0 and move < 0.5:
+                withdraw(led, tick, cid, gid, held * rnd.random())
+            else:
+                contribute(led, tick, cid, gid, rnd.choice([0.1, 1.0, rnd.random() * 5]))
+    return led
+
+
+class TestDelayedViews:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_views_equal_an_independent_replay(self, seed):
+        led = random_ledger(seed)
+        assert any(e.kind is EventKind.WITHDRAW for e in led.events)
+        cutoffs = [-math.inf, -1, -0.5, math.inf] + [
+            t / 2 for t in range(2 * led.window_end + 2)]
+        for as_of in cutoffs:
+            got = led.commitments_by_good(as_of)
+            want = replay(led.events, as_of)
+            assert repr(got) == repr(want), as_of
+        assert repr(led.commitments_by_good()) == repr(replay(led.events, math.inf))
+
+    def test_out_of_order_event_rejected(self):
+        led = RoundLedger(window_end=10)
+        contribute(led, 3, "a", "g", 1.0)
+        contribute(led, 3, "b", "g", 1.0)
+        with pytest.raises(ValueError, match="tick 2"):
+            contribute(led, 2, "c", "g", 1.0)
+        assert len(led.events) == 2
+        assert led.commitments_by_good(2) == {}
+
+    def test_returned_views_are_fresh(self):
+        led = RoundLedger(window_end=10)
+        contribute(led, 0, "a", "g", 1.0)
+        contribute(led, 1, "b", "g", 2.0)
+        for as_of in (0, 1, None):
+            before = repr(led.commitments_by_good(as_of))
+            view = led.commitments_by_good(as_of)
+            view["g"]["z"] = 9.0
+            view["h"] = {}
+            assert repr(led.commitments_by_good(as_of)) == before
+
+    def test_nan_cutoff_rejected(self):
+        led = RoundLedger(window_end=10)
+        with pytest.raises(ValueError):
+            led.commitments_by_good(math.nan)
 
 
 class TestSnapshot:
@@ -170,6 +243,20 @@ class TestRunRound:
         for tick, snap in led.snapshots:
             assert provisional_snapshot(led, tick, sc.mechanism, 2,
                                         goods=sc.goods) == snap
+
+    @pytest.mark.parametrize("delay", [-1.0, math.nan])
+    def test_bad_delay_rejected_before_any_agent_acts(self, delay):
+        sc = sqrt_scenario([2.0, 4.0])
+        calls = []
+
+        class Recorder:
+            def propose(self, view):
+                calls.append(view.tick)
+
+        with pytest.raises(ValueError, match="delay"):
+            run_round(sc, {c.id: Recorder() for c in sc.citizens}, window_end=5,
+                      delay=delay)
+        assert calls == []
 
     def test_snapshot_json_export(self):
         sc = sqrt_scenario([2.0])

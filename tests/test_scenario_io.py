@@ -135,6 +135,19 @@ class TestRoundBlock:
         with pytest.raises(ScenarioFormatError, match="zz"):
             parse_scenario(data)
 
+    @pytest.mark.parametrize("delay", [None, float("nan"), True, -1, "1"])
+    def test_bad_delay_rejected(self, delay):
+        data = self.round_block()
+        data["round"]["delay"] = delay
+        with pytest.raises(ScenarioFormatError, match="delay"):
+            parse_scenario(data)
+
+    def test_infinite_delay_is_a_blind_round(self):
+        data = self.round_block()
+        data["round"]["delay"] = float("inf")
+        _, spec = parse_scenario(json.dumps(data))
+        assert spec.delay == float("inf")
+
     def test_assurance_on_unknown_good(self):
         data = self.round_block()
         data["round"]["assurance"]["nope"] = 1.0
