@@ -13,10 +13,14 @@ assumption, so each good is solved on its own by one of two engines:
   with the largest target level pay.
 * the scalar engine, for S-shaped values, signed contributions with harmed
   citizens, shadow prices of 1 or more, and anything else the shares do
-  not cover. It runs damped Jacobi iteration of exact best responses (grid
-  scan over a geometric lattice, bounded refinement, then a derivative
-  polish): each sweep moves the state by ``damping`` toward every
-  citizen's best response, until the sup-norm gap is within the tolerance.
+  not cover. It iterates exact best responses (grid scan over a geometric
+  lattice, bounded refinement, then a derivative polish) to a fixed point:
+  each sweep evaluates every citizen's best response at the current state,
+  until the sup-norm gap is within the tolerance. The next state is a
+  safeguarded Anderson mixing of the last few states (Walker & Ni 2011)
+  with ``damping`` as the mixing factor, or the plain damped step, which
+  moves the state by ``damping`` toward every best response, where mixing
+  does not lower the gap (``solve_equilibrium`` has the details).
 
 Non-convergence is reported as a diagnostic result, never an exception.
 """
@@ -542,42 +546,100 @@ def _solve_good_vector(scenario, good_id, config, tolerance):
 
 
 # ---------------------------------------------------------------------------
-# the Jacobi driver
+# the fixed-point driver
 
 
-def _jacobi(n, br_fn, x0, tolerance, max_iters, damping):
-    """Damped Jacobi iteration on the signed contribution state.
+# Anderson history: the most difference columns in the mixing step, and
+# the fewest. A single secant is a poor first step when the plain
+# iteration has both a slow monotone and a slow alternating mode, as
+# S-shaped goods under CQF do.
+_ANDERSON_DEPTH = 5
+_ANDERSON_MIN_DEPTH = 2
+# Rejected mixed states in a row after which a solve takes only plain steps.
+_MAX_REJECTIONS = 3
 
-    br_fn maps the signed state to signed best responses. Stalled progress
-    (checked every 100 sweeps) halves the damping, at most 3 times.
+
+def _fixed_point(br_fn, x0, tolerance, max_iters, damping, lower):
+    """Safeguarded Anderson mixing on the signed contribution state, as
+    ``solve_equilibrium`` describes it.
+
+    br_fn maps the signed state to signed best responses; a mixed state is
+    clipped below at ``lower``. A rejected mixed state (not finite, no best
+    response, or a residual not below every accepted state's) costs its
+    sweep, clears the history and is replaced by the plain step from the
+    last accepted state. The damping-halving and stall windows count
+    accepted sweeps only. An unconverged solve returns the last accepted
+    state and its residual, or the state where best responses ceased to
+    exist with residual inf.
     """
     x = x0.astype(float).copy()
     d = damping
-    halvings = 0
+    halvings = rejections = 0
+    history = []
+    x_acc = f_acc = None
+    mixed = False
     window, prev_window = [], []
-    residual = math.inf
+    residual = best = math.inf
     iterations = 0
     converged = False
     for it in range(1, max_iters + 1):
         iterations = it
-        try:
-            x_br = br_fn(x)
-        except NoSolutionError:
+        f = None
+        if np.isfinite(x).all():
+            try:
+                f = br_fn(x) - x
+            except NoSolutionError:
+                pass
+        trial = math.inf if f is None else float(np.max(np.abs(f), initial=0.0))
+        # measured against the lowest accepted residual, not the last: on a
+        # diverging state the residual climbs, and a mixed state that only
+        # beats the last one lets the iteration wander instead of run off
+        if mixed and not trial < best:
+            rejections += 1
+            history = []
+            x, mixed = x_acc + d * f_acc, False
+            continue
+        if f is None:
             # the state has diverged past where best responses exist
             residual = math.inf
             break
-        residual = float(np.max(np.abs(x_br - x))) if n else 0.0
+        residual = trial
         if residual <= tolerance:
             converged = True
             break
+        if mixed:
+            rejections = 0
+        x_acc, f_acc = x, f
+        best = min(best, residual)
         window.append(residual)
         if len(window) == 100:
+            if prev_window and halvings == 3 and min(window) >= min(prev_window):
+                break
             if prev_window and halvings < 3 and min(window) > 0.5 * min(prev_window):
                 d *= 0.5
                 halvings += 1
+                history = []
             prev_window, window = window, []
-        x = (1.0 - d) * x + d * x_br
+        if rejections < _MAX_REJECTIONS:
+            history = (history + [(x, f)])[-(_ANDERSON_DEPTH + 1):]
+        mixed = len(history) > _ANDERSON_MIN_DEPTH
+        x = np.maximum(_anderson(history, d), lower) if mixed else x + d * f
+    else:
+        if x_acc is not None:
+            x = x_acc
     return x, converged, iterations, residual, d
+
+
+def _anderson(history, d):
+    """Type-II Anderson mixing (Walker & Ni 2011) of (state, residual)
+    pairs, oldest first: the damped step from the newest state, corrected
+    by the combination of past differences that best cancels its residual
+    in least squares."""
+    X = np.array([h[0] for h in history])
+    F = np.array([h[1] for h in history])
+    dX, dF = np.diff(X, axis=0).T, np.diff(F, axis=0).T
+    gamma = np.linalg.lstsq(dF, F[-1], rcond=None)[0]
+    return X[-1] + d * F[-1] - (dX + d * dF) @ gamma
 
 
 def _scalar_members(scenario, good_id, config):
@@ -621,7 +683,9 @@ def _solve_good_scalar(scenario, good_id, config, tolerance, max_iters, damping,
         return out
 
     x0 = np.zeros(n) if x0 is None else x0
-    x, converged, iters, resid, d = _jacobi(n, br, x0, tolerance, max_iters, damping)
+    lower = -math.inf if config.variant is Variant.PM_QF else 0.0
+    x, converged, iters, resid, d = _fixed_point(
+        br, x0, tolerance, max_iters, damping, lower)
     return members, x, GoodDiagnostics(converged, iters, resid, d, "scalar")
 
 
@@ -728,8 +792,24 @@ def solve_equilibrium(scenario: Scenario, tolerance: float = 1e-8,
 
     ``engine`` may force the "vector" share-function root or the "scalar"
     best-response iteration; "auto" picks per good (module docstring).
-    ``tolerance``, ``max_iters`` and ``damping`` govern the scalar engine;
-    a vector good is converged when its shares sum to 1 within
+    ``tolerance``, ``max_iters`` and ``damping`` govern the scalar engine:
+    a scalar good is converged when max|br(x) - x| <= ``tolerance`` at the
+    returned state x, after at most ``max_iters`` sweeps, each of which
+    evaluates every best response once. The next state is the type-II
+    Anderson mixing of the last accepted states and residuals, two to five
+    differences deep, with ``damping`` as the mixing factor; the plain
+    step, taken while the history is shorter, moves the state that
+    fraction of the way to the best responses. A mixed state whose
+    residual is not below the lowest accepted so far, or where a best
+    response does not exist, is rejected: the history is cleared and the
+    plain step is taken from the last accepted state. After three
+    rejections in a row the solve takes only plain steps, so a diverging
+    state runs off until its best responses cease to exist. Each 100
+    sweeps that fail to halve the best residual halve the damping (at most
+    three times; each halving restarts the mixing); after that, 100
+    sweeps that do not lower the best residual at all end the solve
+    unconverged.
+    A vector good is converged when its shares sum to 1 within
     ``tolerance``, and its diagnostics count root-finder iterations.
     Non-convergence yields converged=False with diagnostics rather than an
     exception. Non-concave goods are attempted from two starts (all-zero

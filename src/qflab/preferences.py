@@ -167,9 +167,6 @@ class Citizen:
         if self.lam < 0 or not math.isfinite(self.lam):
             raise ValueError("lam must be a finite nonnegative real")
 
-    def value_for(self, good_id: str) -> ValueFunction | None:
-        return self.values.get(good_id)
-
 
 def aggregate_marginal(citizens, good_id: str, F: float) -> float:
     """Sum of V'(F) over the citizens that value the good.

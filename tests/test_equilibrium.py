@@ -366,6 +366,60 @@ class TestSolveEquilibrium:
         assert math.fsum(r.taxes.values()) == pytest.approx(r.deficit, abs=1e-8)
 
 
+class TestScalarIteration:
+    """Sweep counts of the scalar engine's fixed-point iteration."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sshaped_cqf_converges_quickly(self, seed):
+        # plain damped steps contract by only 0.82-0.91 per sweep here
+        rng = np.random.default_rng(seed)
+        a, k, m = rng.uniform(16, 24), rng.uniform(0.4, 0.6), rng.uniform(25, 35)
+        w = a * (1.0 + 0.05 * rng.uniform(-1, 1, 4))
+        cits = [Citizen(f"c{j}", {"g": ValueFunction.sshaped(float(x), float(k), float(m))})
+                for j, x in enumerate(w)]
+        r = solve_equilibrium(Scenario(cits, ["g"], MechanismConfig.cqf(0.5)))
+        assert r.converged and r.iterations <= 60
+        assert r.funding["g"] > m
+        assert r.alternate is not None and r.alternate.converged
+        assert r.alternate.iterations <= 60
+        assert r.alternate.funding["g"] == 0.0
+
+    def test_pm_qf_with_harmed_citizen_converges_quickly(self):
+        # the supporters' best responses do not depend on the state, which
+        # plain damped steps only approach by a factor 1 - damping per sweep
+        rng = np.random.default_rng(3)
+        cits = [Citizen(f"c{j}", {"g": ValueFunction.sqrt(float(a))})
+                for j, a in enumerate(rng.uniform(2.0, 6.0, 6))]
+        cits.append(Citizen("h", {"g": ValueFunction.sqrt(-1.0)}))
+        r = solve_equilibrium(Scenario(cits, ["g"], MechanismConfig.pm_qf()))
+        assert r.diagnostics["g"].engine == "scalar"
+        assert r.converged and r.iterations <= 10
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_diverging_state_still_runs_off(self, seed):
+        # plain damped steps carry this state past where best responses
+        # exist in about 82 sweeps; mixed states that do no better are
+        # rejected, and after three in a row only plain steps follow
+        cits = [Citizen(c.id, c.values, lam=1.2)
+                for c in random_concave_citizens(np.random.default_rng(seed), 6)]
+        cfg = MechanismConfig.pm_qf(deficit_mode=DeficitMode.SHADOW_PRICES)
+        r = solve_equilibrium(Scenario(cits, ["g"], cfg))
+        assert not r.converged
+        assert r.residual == math.inf
+        assert r.iterations <= 100
+
+    def test_stalled_solve_ends_early(self):
+        cits = [Citizen(f"s{i}", {"g": ValueFunction.sqrt(a)})
+                for i, a in enumerate([1.0468, 1.8106, 1.4908, 1.0763])]
+        cits.append(Citizen("h", {"g": ValueFunction.sqrt(-3.8168)}))
+        r = solve_equilibrium(Scenario(cits, ["g"], MechanismConfig.pm_qf()))
+        d = r.diagnostics["g"]
+        assert not r.converged and d.engine == "scalar"
+        assert r.iterations < 1000
+        assert d.damping == pytest.approx(0.5 / 8)
+        assert math.isfinite(r.residual) and r.residual > 0
+
+
 class TestSShapedEquilibria:
     def scenario(self):
         cits = [Citizen(f"c{i}", {"g": ValueFunction.sshaped(20.0, 0.5, 30.0)})

@@ -202,5 +202,5 @@ class TestCitizen:
     def test_value_lookup(self):
         vf = ValueFunction.sqrt(1)
         c = Citizen("a", {"g": vf})
-        assert c.value_for("g") is vf
-        assert c.value_for("other") is None
+        assert c.values.get("g") is vf
+        assert c.values.get("other") is None
