@@ -137,11 +137,7 @@ def solve_alpha_for_budget(scenario: Scenario, budget: float,
         raise ValueError("budget calibration applies to the CQF variant")
 
     def deficit_at(alpha: float) -> float:
-        cfg = MechanismConfig.cqf(
-            alpha,
-            include_private_channel=scenario.mechanism.include_private_channel,
-            deficit_mode=scenario.mechanism.deficit_mode,
-        )
+        cfg = MechanismConfig.cqf(alpha, deficit_mode=scenario.mechanism.deficit_mode)
         trial = Scenario(scenario.citizens, scenario.goods, cfg, scenario.budget)
         result = solve_equilibrium(trial, **solver_kwargs)
         if not result.converged:
@@ -187,25 +183,25 @@ def influence_identity_check(profile: ContributionProfile) -> InfluenceIdentityC
     Checked with the closed-form gradient and with central finite
     differences (step 1e-6 * max(c, 1)). Requires an interior profile.
     """
-    entries = profile.entries
-    if not entries:
+    ids, amounts = profile.citizen_ids, profile.amounts
+    if not ids:
         raise ValueError("profile is empty")
-    if any(e.amount <= 0 or e.sign < 0 for e in entries):
+    if min(amounts) <= 0 or -1 in profile.signs:
         raise ValueError("identity check needs an interior all-positive profile")
-    root_sum = math.fsum(math.sqrt(e.amount) for e in entries)
+    root_sum = math.fsum(map(math.sqrt, amounts))
     cfg = MechanismConfig.qf()
     err_an, err_fd = 0.0, 0.0
-    for e in entries:
-        grad = funding_gradient(profile, cfg, e.citizen_id)
-        err_an = max(err_an, abs(grad * math.sqrt(e.amount) / root_sum - 1.0))
-        h = 1e-6 * max(e.amount, 1.0)
-        others = [x for x in entries if x.citizen_id != e.citizen_id]
-        up = ContributionProfile(profile.good_id, tuple(others) + (
-            type(e)(e.citizen_id, e.amount + h),))
-        dn = ContributionProfile(profile.good_id, tuple(others) + (
-            type(e)(e.citizen_id, e.amount - h),))
-        grad_fd = (fund_qf(up) - fund_qf(dn)) / (2.0 * h)
-        err_fd = max(err_fd, abs(grad_fd * math.sqrt(e.amount) / root_sum - 1.0))
+
+    def bumped(i, amount):
+        return ContributionProfile.from_columns(
+            profile.good_id, ids, amounts[:i] + (amount,) + amounts[i + 1:])
+
+    for i, (cid, c) in enumerate(zip(ids, amounts)):
+        grad = funding_gradient(profile, cfg, cid)
+        err_an = max(err_an, abs(grad * math.sqrt(c) / root_sum - 1.0))
+        h = 1e-6 * max(c, 1.0)
+        grad_fd = (fund_qf(bumped(i, c + h)) - fund_qf(bumped(i, c - h))) / (2.0 * h)
+        err_fd = max(err_fd, abs(grad_fd * math.sqrt(c) / root_sum - 1.0))
     return InfluenceIdentityCheck(analytic=err_an, finite_difference=err_fd)
 
 

@@ -114,7 +114,7 @@ def _mechanism_from_flags(args) -> MechanismConfig:
 def cmd_fund(args) -> int:
     profiles = parse_contributions_csv(args.contributions)
     config = _mechanism_from_flags(args)
-    citizens = {e.citizen_id for p in profiles for e in p.entries}
+    citizens = set().union(*(p.citizen_ids for p in profiles))
     n = args.n_citizens if args.n_citizens else max(len(citizens), 1)
     outcome = evaluate_outcome(profiles, config, n)
     rows = [(p.good_id, outcome.funding[p.good_id], p.total()) for p in profiles]
@@ -184,7 +184,7 @@ def _render_bundle(scenario, result, fmt):
             "totals": {k: _jnum(v) for k, v in totals.items()},
             "taxes": {cid: _jnum(t) for cid, t in result.taxes.items()},
             "contributions": {
-                g: {e.citizen_id: _jnum(e.sign * e.amount) for e in p.entries}
+                g: {cid: _jnum(s * a) for cid, a, s in zip(p.citizen_ids, p.amounts, p.signs)}
                 for g, p in result.contributions.items()
             },
             "diagnostics": diag,

@@ -35,12 +35,13 @@ from scipy.optimize import brentq, minimize_scalar
 
 from .errors import NoSolutionError, PolicyError
 from .mechanisms import (
-    Contribution,
     ContributionProfile,
     DeficitMode,
     FundingOutcome,
     MechanismConfig,
     Variant,
+    _power_sum,
+    _signed_root_sum,
     fund,
     settle_deficit,
 )
@@ -373,16 +374,15 @@ def _best_response_core(vf, lam, config, s_o, A_o, Y_o) -> BestResponseResult:
 
 
 def _aggregates_of(others: ContributionProfile, config: MechanismConfig):
-    entries = others.nonzero()
-    if config.variant is not Variant.PM_QF:
-        for e in entries:
-            if e.sign < 0:
-                raise PolicyError("negative-sign entries require PM_QF")
-    s_o = math.fsum(e.sign * math.sqrt(e.amount) for e in entries)
-    A_o = math.fsum(e.amount for e in entries)
+    amounts, signs = others.amounts, others.signs
+    if config.variant is not Variant.PM_QF and -1 in signs and any(
+            s < 0 and a > 0 for a, s in zip(amounts, signs)):
+        raise PolicyError("negative-sign entries require PM_QF")
+    s_o = _signed_root_sum(amounts, signs)
+    A_o = math.fsum(amounts)
     Y_o = 0.0
     if config.variant is Variant.BETA:
-        Y_o = math.fsum(e.amount ** (1.0 / config.beta) for e in entries)
+        Y_o = _power_sum(amounts, 1.0 / config.beta)
     return s_o, A_o, Y_o
 
 
@@ -710,12 +710,14 @@ def _share_start(scenario, good_id, members, config):
 
 
 def _profile_from_state(good_id, members, x) -> ContributionProfile:
-    entries = []
+    ids, amounts, signs = [], [], []
     for j, (_, cit, _) in enumerate(members):
         amt = abs(float(x[j]))
         if amt > 0.0:
-            entries.append(Contribution(cit.id, amt, 1 if x[j] >= 0 else -1))
-    return ContributionProfile(good_id, tuple(entries))
+            ids.append(cit.id)
+            amounts.append(amt)
+            signs.append(1 if x[j] >= 0 else -1)
+    return ContributionProfile.from_columns(good_id, ids, amounts, signs)
 
 
 def _needs_scalar(scenario, good_id, config) -> bool:
@@ -890,8 +892,8 @@ def closed_form_qf_equilibrium(scenario: Scenario) -> EquilibriumResult:
             if vf.family is not Family.SQRT or vf.a <= 0:
                 raise ValueError(
                     "closed form requires positive-weight SQRT values")
-        profiles[good] = ContributionProfile(good, tuple(
-            Contribution(c.id, (vf.a / 2.0) ** 2) for c, vf in vals))
+        profiles[good] = ContributionProfile.from_columns(
+            good, [c.id for c, _ in vals], [(vf.a / 2.0) ** 2 for _, vf in vals])
         root = math.fsum(vf.a for _, vf in vals) / 2.0
         funding[good] = root * root
     return _assemble_result(

@@ -15,16 +15,27 @@ ONE_P_ONE_V is a voting rule, not evaluable from contributions alone; its
 outcome lives in the equilibrium module and only the variant tag is kept
 here.
 
-Everything in this module is a pure function of its arguments, so values
-are freely shareable across threads and per-good evaluations can run in
-parallel.
+A good's contributions are a ``ContributionProfile``: three parallel
+columns (citizen ids, amounts, signs), validated once, in one constructor
+path, whichever way the profile is built. The rules read the columns
+directly, with ``math.sqrt`` and ``math.fsum`` on Python floats, so no
+``Contribution`` object is made per entry; ``profile.entries`` builds
+those on first access, for callers that want them.
+
+Everything in this module is a pure function of its arguments, and
+profiles are immutable (the lazily cached ``entries`` is the same data),
+so values are freely shareable across threads and per-good evaluations
+can run in parallel.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from itertools import repeat
 
 from .errors import DivergentGradientError, PolicyError
 
@@ -44,6 +55,15 @@ class DeficitMode(str, Enum):
     SHADOW_PRICES = "SHADOW_PRICES"
 
 
+def _entry_error(amount, sign) -> str | None:
+    """Why (amount, sign) is not a valid entry, or None when it is."""
+    if not math.isfinite(amount) or amount < 0:
+        return f"amount must be a finite nonnegative real, got {amount!r}"
+    if sign not in (1, -1):
+        return f"sign must be +1 or -1, got {sign!r}"
+    return None
+
+
 @dataclass(frozen=True)
 class Contribution:
     """One citizen's entry on one good: an amount paid plus a direction.
@@ -57,26 +77,46 @@ class Contribution:
     sign: int = 1
 
     def __post_init__(self):
-        if not math.isfinite(self.amount) or self.amount < 0:
-            raise ValueError(f"amount must be a finite nonnegative real, got {self.amount!r}")
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
+        error = _entry_error(self.amount, self.sign)
+        if error:
+            raise ValueError(error)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ContributionProfile:
-    """All contributions to a single good, at most one entry per citizen."""
+    """All contributions to a single good, at most one entry per citizen.
+
+    The profile is three parallel columns: ``citizen_ids``, ``amounts`` and
+    ``signs`` (tuples, in input order). ``ContributionProfile(good_id,
+    entries)``, ``from_amounts`` and ``from_columns`` all end in one
+    validating constructor path: every amount finite and nonnegative, every
+    sign +1 or -1, no citizen twice. ``entries``, the same data as a tuple
+    of ``Contribution``, is built on first access and cached; ``get`` looks
+    a citizen up in a dict index. Equality, hashing and ``repr`` are over
+    the columns.
+    """
 
     good_id: str
-    entries: tuple[Contribution, ...]
+    citizen_ids: tuple[str, ...]
+    amounts: tuple[float, ...]
+    signs: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        seen = set()
-        for e in self.entries:
-            if e.citizen_id in seen:
-                raise ValueError(f"duplicate contribution by citizen {e.citizen_id!r}")
-            seen.add(e.citizen_id)
+    def __init__(self, good_id: str, entries):
+        entries = tuple(entries)
+        self._set_columns(good_id, tuple(e.citizen_id for e in entries),
+                          tuple(e.amount for e in entries),
+                          tuple(e.sign for e in entries))
+        self.__dict__["entries"] = entries
+
+    @classmethod
+    def from_columns(cls, good_id: str, citizen_ids, amounts,
+                     signs=None) -> "ContributionProfile":
+        """Build a profile from parallel columns; ``signs`` defaults to +1."""
+        profile = cls.__new__(cls)
+        amounts = tuple(amounts)
+        profile._set_columns(good_id, tuple(citizen_ids), amounts,
+                             (1,) * len(amounts) if signs is None else tuple(signs))
+        return profile
 
     @classmethod
     def from_amounts(cls, good_id: str, amounts, signs=None) -> "ContributionProfile":
@@ -91,46 +131,68 @@ class ContributionProfile:
         else:
             items = [(f"c{i}", a) for i, a in enumerate(amounts)]
         signs = signs or {}
-        entries = tuple(
-            Contribution(str(cid), float(a), signs.get(cid, 1)) for cid, a in items
-        )
-        return cls(good_id, entries)
+        return cls.from_columns(good_id, [str(cid) for cid, _ in items],
+                                [float(a) for _, a in items],
+                                [signs.get(cid, 1) for cid, _ in items])
+
+    def _set_columns(self, good_id, citizen_ids, amounts, signs) -> None:
+        n = len(citizen_ids)
+        if len(amounts) != n or len(signs) != n:
+            raise ValueError("citizen_ids, amounts and signs differ in length")
+        # one C-speed pass each for the common valid case; the entry-by-entry
+        # scan runs only to name the first bad entry (an overflowing sum of
+        # finite amounts also lands there, and passes)
+        if not (sum(amounts) < math.inf and min(amounts, default=0.0) >= 0
+                and signs.count(1) + signs.count(-1) == n):
+            for amount, sign in zip(amounts, signs):
+                error = _entry_error(amount, sign)
+                if error:
+                    raise ValueError(error)
+        index = dict(zip(citizen_ids, range(n)))
+        if len(index) != n:
+            seen = set()
+            for cid in citizen_ids:
+                if cid in seen:
+                    raise ValueError(f"duplicate contribution by citizen {cid!r}")
+                seen.add(cid)
+        object.__setattr__(self, "good_id", good_id)
+        object.__setattr__(self, "citizen_ids", citizen_ids)
+        object.__setattr__(self, "amounts", amounts)
+        object.__setattr__(self, "signs", signs)
+        self.__dict__["_index"] = index
+
+    @cached_property
+    def entries(self) -> tuple[Contribution, ...]:
+        return tuple(map(Contribution, self.citizen_ids, self.amounts, self.signs))
 
     def nonzero(self) -> tuple[Contribution, ...]:
-        # Zero-amount entries add nothing to any rule and make gradients
-        # ill-defined, so every rule drops them before evaluating.
-        return tuple(e for e in self.entries if e.amount > 0)
+        """The entries with a positive amount: the ones any rule counts."""
+        return tuple(Contribution(cid, a, s) for cid, a, s
+                     in zip(self.citizen_ids, self.amounts, self.signs) if a > 0)
 
     def total(self) -> float:
         """Money paid in, regardless of direction."""
-        return math.fsum(e.amount for e in self.entries)
+        return math.fsum(self.amounts)
 
     def get(self, citizen_id: str) -> Contribution | None:
-        for e in self.entries:
-            if e.citizen_id == citizen_id:
-                return e
-        return None
+        i = self._index.get(citizen_id)
+        if i is None:
+            return None
+        return Contribution(citizen_id, self.amounts[i], self.signs[i])
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.citizen_ids)
 
 
 @dataclass(frozen=True)
 class MechanismConfig:
-    """Which funding rule is active plus its parameters and policies.
-
-    ``include_private_channel`` is an attack-accounting switch: whether a
-    fraud/collusion calculator counts the (1-alpha) pass-through of CQF as
-    part of the attacker's take (see analysis.fraud_arbitrage). It does not
-    change funding evaluation.
-    """
+    """Which funding rule is active plus its parameters and policies."""
 
     variant: Variant
     alpha: float | None = None
     scale: float | None = None
     beta: float | None = None
     allow_negative: bool = False
-    include_private_channel: bool = False
     deficit_mode: DeficitMode = DeficitMode.IGNORE
 
     def __post_init__(self):
@@ -201,24 +263,47 @@ class FundingOutcome:
 
 
 def _require_positive_signs(profile: ContributionProfile, rule: str) -> None:
-    for e in profile.entries:
-        if e.sign < 0:
-            raise PolicyError(
-                f"{rule} does not accept negative-sign contributions "
-                f"(citizen {e.citizen_id!r}); use PM_QF"
-            )
+    if -1 in profile.signs:
+        cid = profile.citizen_ids[profile.signs.index(-1)]
+        raise PolicyError(
+            f"{rule} does not accept negative-sign contributions "
+            f"(citizen {cid!r}); use PM_QF"
+        )
 
 
-def _sqrt_sum(entries) -> float:
-    # fsum keeps the equal-contribution scaling identities exact
-    # (N equal entries of x fund exactly N**2 * x under QF).
-    return math.fsum(math.sqrt(e.amount) for e in entries)
+# The column sums below run over every entry. fsum is exactly rounded, so the
+# zero-amount entries (which contribute exact zeros) leave each sum
+# bit-identical to one over the nonzero entries only; it also keeps the
+# equal-contribution scaling identities exact (N equal entries of x fund
+# exactly N**2 * x under QF).
+
+
+def _root_sum(amounts) -> float:
+    return math.fsum(map(math.sqrt, amounts))
+
+
+def _signed_root_sum(amounts, signs) -> float:
+    return math.fsum(map(operator.mul, signs, map(math.sqrt, amounts)))
+
+
+def _power_sum(amounts, exponent: float) -> float:
+    return math.fsum(map(pow, amounts, repeat(exponent, len(amounts))))
+
+
+def _lone_amount(amounts) -> float | None:
+    """The only nonzero amount, or None when there are 0 or at least 2.
+
+    Every rule funds a lone contributor at exactly their amount, which the
+    square of a square root would not reproduce in floats."""
+    if len(amounts) - amounts.count(0.0) == 1:
+        return max(amounts)
+    return None
 
 
 def fund_private(profile: ContributionProfile) -> float:
     """Sum of contributions: no matching, no taxes."""
     _require_positive_signs(profile, "PRIVATE")
-    return math.fsum(e.amount for e in profile.nonzero())
+    return math.fsum(profile.amounts)
 
 
 def fund_linear_match(profile: ContributionProfile, scale: float) -> float:
@@ -226,17 +311,16 @@ def fund_linear_match(profile: ContributionProfile, scale: float) -> float:
     if not (scale >= 1.0):
         raise ValueError(f"scale must be >= 1, got {scale!r}")
     _require_positive_signs(profile, "LINEAR_MATCH")
-    return scale * math.fsum(e.amount for e in profile.nonzero())
+    return scale * math.fsum(profile.amounts)
 
 
 def fund_qf(profile: ContributionProfile) -> float:
     """Square of the sum of square roots of the contributions."""
     _require_positive_signs(profile, "QF")
-    entries = profile.nonzero()
-    if len(entries) == 1:
-        # (sqrt c)**2 == c holds algebraically; keep it exact in floats too
-        return entries[0].amount
-    s = _sqrt_sum(entries)
+    lone = _lone_amount(profile.amounts)
+    if lone is not None:
+        return lone
+    s = _root_sum(profile.amounts)
     return s * s
 
 
@@ -250,11 +334,11 @@ def fund_cqf(profile: ContributionProfile, alpha: float) -> float:
     if not (0.0 <= alpha <= 1.0):
         raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
     _require_positive_signs(profile, "CQF")
-    entries = profile.nonzero()
-    if len(entries) == 1:
-        return entries[0].amount  # alpha*c + (1-alpha)*c, exactly
-    s = _sqrt_sum(entries)
-    return alpha * (s * s) + (1.0 - alpha) * math.fsum(e.amount for e in entries)
+    lone = _lone_amount(profile.amounts)
+    if lone is not None:
+        return lone  # alpha*c + (1-alpha)*c, exactly
+    s = _root_sum(profile.amounts)
+    return alpha * (s * s) + (1.0 - alpha) * math.fsum(profile.amounts)
 
 
 def fund_pm_qf(profile: ContributionProfile) -> float:
@@ -264,10 +348,10 @@ def fund_pm_qf(profile: ContributionProfile) -> float:
     ``fund``. The result is a square, hence never negative, but it can be
     smaller than the money paid in.
     """
-    entries = profile.nonzero()
-    if len(entries) == 1:
-        return entries[0].amount  # a lone signed entry still squares back
-    s = math.fsum(e.sign * math.sqrt(e.amount) for e in entries)
+    lone = _lone_amount(profile.amounts)
+    if lone is not None:
+        return lone  # a lone signed entry still squares back
+    s = _signed_root_sum(profile.amounts, profile.signs)
     return s * s
 
 
@@ -279,11 +363,10 @@ def fund_beta(profile: ContributionProfile, beta: float) -> float:
     if not (beta >= 1.0):
         raise ValueError(f"beta must be >= 1, got {beta!r}")
     _require_positive_signs(profile, "BETA")
-    entries = profile.nonzero()
-    if len(entries) == 1:
-        return entries[0].amount  # (c**(1/beta))**beta, exactly
-    inv = 1.0 / beta
-    return math.fsum(e.amount**inv for e in entries) ** beta
+    lone = _lone_amount(profile.amounts)
+    if lone is not None:
+        return lone  # (c**(1/beta))**beta, exactly
+    return _power_sum(profile.amounts, 1.0 / beta) ** beta
 
 
 def fund(profile: ContributionProfile, config: MechanismConfig) -> float:
@@ -330,18 +413,18 @@ def funding_gradient(profile: ContributionProfile, config: MechanismConfig,
         raise DivergentGradientError(
             f"dF/dc diverges at zero contribution under {v.value}"
         )
-    entries = profile.nonzero()
+    amounts = profile.amounts
     if v is Variant.QF:
-        return _sqrt_sum(entries) / math.sqrt(own.amount)
+        return _root_sum(amounts) / math.sqrt(own.amount)
     if v is Variant.CQF:
         a = config.alpha
-        return a * _sqrt_sum(entries) / math.sqrt(own.amount) + (1.0 - a)
+        return a * _root_sum(amounts) / math.sqrt(own.amount) + (1.0 - a)
     if v is Variant.PM_QF:
-        signed = math.fsum(e.sign * math.sqrt(e.amount) for e in entries)
+        signed = _signed_root_sum(amounts, profile.signs)
         return own.sign * signed / math.sqrt(own.amount)
     # BETA, beta > 1
     b = config.beta
-    y = math.fsum(e.amount ** (1.0 / b) for e in entries)
+    y = _power_sum(amounts, 1.0 / b)
     return y ** (b - 1.0) / own.amount ** ((b - 1.0) / b)
 
 

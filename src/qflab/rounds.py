@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .mechanisms import Contribution, ContributionProfile, MechanismConfig, fund
+from .mechanisms import ContributionProfile, MechanismConfig, fund
 from .preferences import Citizen
 from .equilibrium import Scenario, best_response_full
 
@@ -152,6 +152,12 @@ class RoundLedger:
         return self
 
 
+def _profile_of(good_id: str, amounts: dict[str, float]) -> ContributionProfile:
+    """The positive-sign profile of a citizen_id -> amount dict, in id order."""
+    ids = sorted(amounts)
+    return ContributionProfile.from_columns(good_id, ids, [amounts[c] for c in ids])
+
+
 def provisional_snapshot(ledger: RoundLedger, tick: int, config: MechanismConfig,
                          delay: float = 0, goods=()) -> dict[str, float]:
     """Funding per good computed from commitments as of tick - delay.
@@ -170,10 +176,7 @@ def provisional_snapshot(ledger: RoundLedger, tick: int, config: MechanismConfig
     by_good = ledger.commitments_by_good(as_of=cutoff)
     out = {}
     for g in all_goods:
-        amounts = by_good.get(g, {})
-        profile = ContributionProfile(
-            g, tuple(Contribution(cid, amt) for cid, amt in sorted(amounts.items())))
-        out[g] = fund(profile, config)
+        out[g] = fund(_profile_of(g, by_good.get(g, {})), config)
     return out
 
 
@@ -209,9 +212,8 @@ class MyopicBestResponse:
                 for cid, amt in view.delayed_commitments.get(good, {}).items()
                 if cid != self.citizen.id
             }
-            profile = ContributionProfile(
-                good, tuple(Contribution(cid, amt) for cid, amt in sorted(others.items())))
-            target = best_response_full(self.citizen, good, profile, view.config).amount
+            target = best_response_full(self.citizen, good, _profile_of(good, others),
+                                        view.config).amount
             gap = target - view.own_committed.get(good, 0.0)
             if abs(gap) >= self.min_step and (best is None or abs(gap) > abs(best[1])):
                 best = (good, gap)
@@ -257,9 +259,7 @@ def assurance_settlement(ledger: RoundLedger, policy: AssurancePolicy,
     settlement = {}
     for g in sorted(goods):
         amounts = by_good.get(g, {})
-        profile = ContributionProfile(
-            g, tuple(Contribution(cid, amt) for cid, amt in sorted(amounts.items())))
-        F = fund(profile, config)
+        F = fund(_profile_of(g, amounts), config)
         threshold = policy.threshold.get(g, 0.0)
         if F >= threshold or not policy.refund_on_miss:
             settlement[g] = GoodSettlement(SettlementStatus.FUNDED, F, {})

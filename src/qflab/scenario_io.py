@@ -9,23 +9,23 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ScenarioFormatError
 from .mechanisms import (
-    Contribution,
     ContributionProfile,
     DeficitMode,
     MechanismConfig,
     Variant,
+    _entry_error,
 )
 from .preferences import Citizen, Family, ValueFunction
 from .equilibrium import Scenario
 
 _TOP_KEYS = {"mechanism", "goods", "citizens", "budget", "round"}
-_MECH_KEYS = {"variant", "alpha", "beta", "scale", "allow_negative",
-              "include_private_channel", "deficit_mode"}
+_MECH_KEYS = {"variant", "alpha", "beta", "scale", "allow_negative", "deficit_mode"}
 _CITIZEN_KEYS = {"id", "lambda", "values"}
 _VALUE_KEYS = {"family", "params"}
 _ROUND_KEYS = {"window_end", "seed", "delay", "assurance", "agents"}
@@ -119,14 +119,10 @@ def _parse_mechanism(spec, where: str) -> MechanismConfig:
                               variant is Variant.PM_QF)
     if not isinstance(allow_negative, bool):
         raise ScenarioFormatError(f"{where}.allow_negative: expected a boolean")
-    include_private = spec.get("include_private_channel", False)
-    if not isinstance(include_private, bool):
-        raise ScenarioFormatError(f"{where}.include_private_channel: expected a boolean")
     try:
         return MechanismConfig(
             variant=variant, allow_negative=allow_negative,
-            include_private_channel=include_private, deficit_mode=deficit_mode,
-            **kwargs)
+            deficit_mode=deficit_mode, **kwargs)
     except ValueError as e:
         raise ScenarioFormatError(f"{where}: {e}") from None
 
@@ -240,7 +236,13 @@ _SIGNS = {"+1": 1, "1": 1, "+": 1, "": 1, "-1": -1, "-": -1}
 def parse_contributions_csv(source) -> list[ContributionProfile]:
     """Read a contributions table (citizen_id, good_id, amount[, sign]).
 
-    Errors carry the 1-based line number of the offending row.
+    Ids may contain commas, quotes and newlines when quoted as in CSV.
+    Errors carry the 1-based record number of the offending row (the line
+    number when no field spans lines); blank rows are skipped but counted.
+    Rows are checked as they stream in and the first bad row in file order
+    is the one reported; a citizen listed twice on a good is reported after
+    every row has passed. Each good's rows go into its profile's columns
+    directly, without a ``Contribution`` per row.
     """
     if isinstance(source, (str, Path)) and "\n" not in str(source):
         text = Path(source).read_text()
@@ -258,55 +260,65 @@ def parse_contributions_csv(source) -> list[ContributionProfile]:
             raise ScenarioFormatError(
                 f"line 1: missing required column {col!r} (header: {header})")
     idx = {col: header.index(col) for col in header}
-    has_sign = "sign" in idx
-    per_good: dict[str, list[Contribution]] = {}
-    order: list[str] = []
+    ci, gi, ai = idx["citizen_id"], idx["good_id"], idx["amount"]
+    si = idx.get("sign", -1)
+    min_fields = max(len(required), ci + 1, gi + 1, ai + 1)
+    columns: dict[str, tuple[list, list, list]] = {}
+    inf = math.inf
     for lineno, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) < len(required):
+        # A blank row (every cell whitespace) is skipped. It is either short
+        # or has an empty id, so it is looked for only on those two paths.
+        if len(row) < min_fields:
+            if not "".join(row).strip():
+                continue
             raise ScenarioFormatError(f"line {lineno}: expected at least "
-                                      f"{len(required)} fields, got {len(row)}")
-        cid = row[idx["citizen_id"]].strip()
-        gid = row[idx["good_id"]].strip()
+                                      f"{min_fields} fields, got {len(row)}")
+        cid = row[ci].strip()
+        gid = row[gi].strip()
         if not cid or not gid:
+            if not "".join(row).strip():
+                continue
             raise ScenarioFormatError(f"line {lineno}: empty citizen_id or good_id")
         try:
-            amount = float(row[idx["amount"]])
+            amount = float(row[ai])
         except ValueError:
             raise ScenarioFormatError(
-                f"line {lineno}: amount {row[idx['amount']]!r} is not a number"
-            ) from None
+                f"line {lineno}: amount {row[ai]!r} is not a number") from None
         sign = 1
-        if has_sign and len(row) > idx["sign"]:
-            raw = row[idx["sign"]].strip()
+        if len(row) > si >= 0:
+            raw = row[si].strip()
             if raw not in _SIGNS:
                 raise ScenarioFormatError(
                     f"line {lineno}: sign must be one of +1/-1/+/-, got {raw!r}")
             sign = _SIGNS[raw]
-        try:
-            contribution = Contribution(cid, amount, sign)
-        except ValueError as e:
-            raise ScenarioFormatError(f"line {lineno}: {e}") from None
-        if gid not in per_good:
-            per_good[gid] = []
-            order.append(gid)
-        per_good[gid].append(contribution)
+        if not 0.0 <= amount < inf:
+            raise ScenarioFormatError(f"line {lineno}: {_entry_error(amount, sign)}")
+        good = columns.get(gid)
+        if good is None:
+            good = columns[gid] = ([], [], [])
+        good[0].append(cid)
+        good[1].append(amount)
+        good[2].append(sign)
     profiles = []
-    for gid in order:
+    for gid, (ids, amounts, signs) in columns.items():
         try:
-            profiles.append(ContributionProfile(gid, tuple(per_good[gid])))
+            profiles.append(ContributionProfile.from_columns(gid, ids, amounts, signs))
         except ValueError as e:
             raise ScenarioFormatError(f"good {gid!r}: {e}") from None
     return profiles
 
 
 def contributions_to_csv(profiles, digits: int = 12) -> str:
-    """Write profiles as a contributions table with `digits` significant digits."""
+    """Write profiles as a contributions table with `digits` significant digits.
+
+    Ids are quoted only where CSV needs it, so an id with a comma, double
+    quote or newline reads back unchanged through ``parse_contributions_csv``.
+    """
     buf = io.StringIO()
-    buf.write("citizen_id,good_id,amount,sign\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("citizen_id", "good_id", "amount", "sign"))
     for p in profiles:
-        for e in p.entries:
-            buf.write(f"{e.citizen_id},{p.good_id},{e.amount:.{digits}g},"
-                      f"{'+1' if e.sign > 0 else '-1'}\n")
+        for cid, amount, sign in zip(p.citizen_ids, p.amounts, p.signs):
+            writer.writerow((cid, p.good_id, f"{amount:.{digits}g}",
+                             "+1" if sign > 0 else "-1"))
     return buf.getvalue()

@@ -21,6 +21,7 @@ from qflab import (
     funding_gradient,
     settle_deficit,
 )
+from qflab.scenario_io import parse_contributions_csv
 
 
 def profile(amounts, signs=None, good="g"):
@@ -123,6 +124,121 @@ class TestPolicyAndValidation:
             MechanismConfig(Variant.QF, alpha=0.5)
         with pytest.raises(PolicyError):
             fund(profile([1]), MechanismConfig.one_p_one_v())
+
+
+class TestProfileContract:
+    """Every way of building a profile ends in the same columns and the same
+    validation, and ``entries`` is the same data as Contribution objects."""
+
+    AMOUNTS = {"b": 4.0, "a": 1.0, "c": 0.0, "d": 2.25}
+    SIGNS = {"a": -1}
+
+    def test_every_constructor_gives_the_same_profile(self):
+        entries = tuple(Contribution(cid, x, self.SIGNS.get(cid, 1))
+                        for cid, x in self.AMOUNTS.items())
+        from_entries = ContributionProfile("g", entries)
+        from_amounts = ContributionProfile.from_amounts("g", self.AMOUNTS, self.SIGNS)
+        from_columns = ContributionProfile.from_columns(
+            "g", list(self.AMOUNTS), list(self.AMOUNTS.values()), [1, -1, 1, 1])
+        parsed, = parse_contributions_csv(
+            "citizen_id,good_id,amount,sign\nb,g,4,+1\na,g,1,-1\nc,g,0,\nd,g,2.25\n")
+        for other in (from_amounts, from_columns, parsed):
+            assert other == from_entries
+            assert hash(other) == hash(from_entries)
+            assert repr(other) == repr(from_entries)
+            assert other.entries == entries
+        assert from_entries.citizen_ids == ("b", "a", "c", "d")
+        assert from_entries.amounts == (4.0, 1.0, 0.0, 2.25)
+        assert from_entries.signs == (1, -1, 1, 1)
+        assert from_entries != ContributionProfile.from_amounts("g", self.AMOUNTS)
+        assert from_entries != ContributionProfile.from_amounts("h", self.AMOUNTS, self.SIGNS)
+
+    def test_entries_keep_input_order_as_contributions(self):
+        p = ContributionProfile.from_columns("g", ["z", "a", "m"], [3.0, 1.0, 2.0], [1, -1, 1])
+        assert all(type(e) is Contribution for e in p.entries)
+        assert [(e.citizen_id, e.amount, e.sign) for e in p.entries] == [
+            ("z", 3.0, 1), ("a", 1.0, -1), ("m", 2.0, 1)]
+        assert p.entries is p.entries  # built once, then cached
+        assert p.nonzero() == p.entries
+        assert len(p) == 3
+
+    def test_get_uses_the_index(self):
+        n = 10_000
+        p = ContributionProfile.from_amounts("g", [1.0 + i for i in range(n)])
+        assert p.get(f"c{n - 1}") == Contribution(f"c{n - 1}", float(n))
+        assert p.get("c0") == Contribution("c0", 1.0)
+        assert p.get("absent") is None
+        assert p.get(f"c{n}") is None
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: ContributionProfile("g", (Contribution("a", 1), Contribution("a", 2))),
+         "duplicate contribution by citizen 'a'"),
+        (lambda: ContributionProfile.from_amounts("g", {1: 1.0, "1": 2.0}),
+         "duplicate contribution by citizen '1'"),
+        (lambda: ContributionProfile.from_columns("g", ["a", "b", "a"], [1.0, 2.0, 3.0]),
+         "duplicate contribution by citizen 'a'"),
+        (lambda: ContributionProfile.from_amounts("g", [1.0, math.nan]),
+         "amount must be a finite nonnegative real, got nan"),
+        (lambda: ContributionProfile.from_amounts("g", [1.0, -2.0, math.nan]),
+         "amount must be a finite nonnegative real, got -2.0"),
+        (lambda: ContributionProfile.from_amounts("g", [math.inf]),
+         "amount must be a finite nonnegative real, got inf"),
+        (lambda: ContributionProfile.from_amounts("g", {"a": 1.0, "b": 2.0}, {"b": 0}),
+         "sign must be +1 or -1, got 0"),
+        (lambda: Contribution("a", math.nan), "amount must be a finite nonnegative real, got nan"),
+        (lambda: Contribution("a", -1.0), "amount must be a finite nonnegative real, got -1.0"),
+        (lambda: Contribution("a", 1.0, 0), "sign must be +1 or -1, got 0"),
+        (lambda: ContributionProfile.from_columns("g", ["a"], [1.0, 2.0]),
+         "citizen_ids, amounts and signs differ in length"),
+    ])
+    def test_invalid_entries_rejected_with_the_same_messages(self, build, message):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+
+    def test_entry_errors_come_before_duplicates(self):
+        with pytest.raises(ValueError, match="got -1.0"):
+            ContributionProfile.from_columns("g", ["a", "a", "b"], [1.0, 1.0, -1.0])
+
+    def test_rules_equal_a_loop_over_the_nonzero_entries(self, rng):
+        """Bit-identical to each rule written as a loop over the nonzero
+        entries, as the rules read before they ran on the columns."""
+        def nonzero(p):
+            return [e for e in p.entries if e.amount > 0]
+
+        def qf(p, signed=False):
+            es = nonzero(p)
+            if len(es) == 1:
+                return es[0].amount
+            s = math.fsum((e.sign if signed else 1) * math.sqrt(e.amount) for e in es)
+            return s * s
+
+        def beta(p, b):
+            es = nonzero(p)
+            if len(es) == 1:
+                return es[0].amount
+            return math.fsum(e.amount ** (1.0 / b) for e in es) ** b
+
+        for _ in range(200):
+            n = int(rng.integers(0, 12))
+            amounts = rng.uniform(0.0, 50.0, n) * (rng.uniform(size=n) < 0.7)
+            signs = rng.choice([-1, 1], n).tolist()
+            p = ContributionProfile.from_columns("g", [f"c{i}" for i in range(n)],
+                                                 amounts.tolist())
+            signed = ContributionProfile.from_columns("g", p.citizen_ids, p.amounts, signs)
+            private = math.fsum(e.amount for e in nonzero(p))
+            assert fund_private(p) == private
+            assert fund_linear_match(p, 2.5) == 2.5 * private
+            assert fund_qf(p) == qf(p)
+            assert fund_pm_qf(signed) == qf(signed, signed=True)
+            assert fund_beta(p, 1.7) == beta(p, 1.7)
+            cqf = nonzero(p)[0].amount if len(nonzero(p)) == 1 else \
+                0.3 * qf(p) + (1.0 - 0.3) * private
+            assert fund_cqf(p, 0.3) == cqf
+
+    def test_finite_amounts_whose_sum_overflows_are_valid(self):
+        p = ContributionProfile.from_amounts("g", [1e308, 1e308])
+        assert p.amounts == (1e308, 1e308)
 
 
 class TestGradient:

@@ -42,6 +42,12 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioFormatError, match="gamma"):
             parse_scenario(data)
 
+    def test_include_private_channel_is_no_longer_a_key(self):
+        data = base_scenario()
+        data["mechanism"]["include_private_channel"] = False
+        with pytest.raises(ScenarioFormatError, match="unknown keys.*include_private_channel"):
+            parse_scenario(data)
+
     def test_unknown_value_param_rejected(self):
         data = base_scenario()
         data["citizens"][0]["values"]["g"]["params"]["rho"] = 0.5
@@ -193,3 +199,82 @@ class TestContributionsCsv:
         again = parse_contributions_csv(text)
         assert again[0].total() == profiles[0].total()
         assert [e.sign for e in again[0].entries] == [1, -1]
+
+
+H = "citizen_id,good_id,amount\n"
+HS = "citizen_id,good_id,amount,sign\n"
+
+
+class TestContributionsCsvErrors:
+    """Rows are checked in file order; the first bad row is reported with
+    its record number, and blank rows are skipped but still counted."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("citizen_id,amount\n",
+         "line 1: missing required column 'good_id' (header: ['citizen_id', 'amount'])"),
+        (H + "a,g\n", "line 2: expected at least 3 fields, got 2"),
+        (H + "a,,1\n", "line 2: empty citizen_id or good_id"),
+        (H + " ,g,1\n", "line 2: empty citizen_id or good_id"),
+        (H + "a,g,1\nb,g,zzz\n", "line 3: amount 'zzz' is not a number"),
+        (H + "a,g,-1\n", "line 2: amount must be a finite nonnegative real, got -1.0"),
+        (H + "a,g,nan\n", "line 2: amount must be a finite nonnegative real, got nan"),
+        (H + "a,g,inf\n", "line 2: amount must be a finite nonnegative real, got inf"),
+        (HS + "a,g,1, x \n", "line 2: sign must be one of +1/-1/+/-, got 'x'"),
+        (HS + "a,g,-1,0\n", "line 2: sign must be one of +1/-1/+/-, got '0'"),
+        # several bad rows: the first in file order wins, whatever its good
+        (H + "a,g,1\nb,h,-3\nc,g,zz\nd\n",
+         "line 3: amount must be a finite nonnegative real, got -3.0"),
+        (H + "a,g,1\nb,h,x\nc,g,-1\n", "line 3: amount 'x' is not a number"),
+        (HS + "a,g,1,+\nb,g,2,?\nc,g,-1,-\n", "line 3: sign must be one of +1/-1/+/-, got '?'"),
+        # blank and whitespace-only rows are skipped but keep their numbers
+        (H + "a,g,1\n\n   ,  ,\n \nb,g,zz\n", "line 6: amount 'zz' is not a number"),
+        # a duplicate is reported only once every row has passed
+        (H + "a,g,1\na,g,2\nb,h,-3\n",
+         "line 4: amount must be a finite nonnegative real, got -3.0"),
+        (H + "a,g,1\nb,h,1\nb,h,2\na,g,2\n",
+         "good 'g': duplicate contribution by citizen 'a'"),
+        # a field spanning two lines is one record
+        (H + '"a\nb",g,1\nc,g,x\n', "line 3: amount 'x' is not a number"),
+        # a row short of a later required column is a field-count error
+        ("x,citizen_id,good_id,amount\n1,a,g\n", "line 2: expected at least 4 fields, got 3"),
+    ])
+    def test_first_bad_row_reported(self, text, message):
+        with pytest.raises(ScenarioFormatError) as err:
+            parse_contributions_csv(text)
+        assert str(err.value) == message
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(ScenarioFormatError, match="^contributions file is empty$"):
+            parse_contributions_csv(path)
+
+    def test_short_row_gets_sign_plus_one(self):
+        profiles = parse_contributions_csv(HS + "a,g,1,-\nb,g,4\nc,g,9,\n")
+        assert profiles[0].signs == (-1, 1, 1)
+
+    def test_goods_in_order_of_first_row(self):
+        profiles = parse_contributions_csv(H + "a,h,1\nb,g,2\nc,h,3\n\n")
+        assert [(p.good_id, p.citizen_ids, p.amounts) for p in profiles] == [
+            ("h", ("a", "c"), (1.0, 3.0)), ("g", ("b",), (2.0,))]
+
+
+class TestContributionsCsvRoundTrip:
+    @pytest.mark.parametrize("cid, gid", [
+        ("smith, j", "g"),
+        ("a", "roads, north"),
+        ('o"brien', 'the "park"'),
+        ("line\nbreak", "g"),
+    ])
+    def test_ids_survive_the_writer(self, cid, gid, tmp_path):
+        profiles = parse_contributions_csv(HS + "x,base,1,+1\n")
+        profiles.append(type(profiles[0]).from_columns(gid, [cid, "y"], [4.0, 0.5], [1, -1]))
+        path = tmp_path / "c.csv"
+        path.write_text(contributions_to_csv(profiles))
+        again = parse_contributions_csv(path)
+        assert again == profiles
+
+    def test_plain_ids_are_written_unquoted(self):
+        profiles = parse_contributions_csv(HS + "a,g,1.25,+1\nb,g,4,-1\n")
+        assert contributions_to_csv(profiles) == (
+            "citizen_id,good_id,amount,sign\na,g,1.25,+1\nb,g,4,-1\n")
