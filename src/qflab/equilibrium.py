@@ -13,14 +13,27 @@ assumption, so each good is solved on its own by one of two engines:
   with the largest target level pay.
 * the scalar engine, for S-shaped values, signed contributions with harmed
   citizens, shadow prices of 1 or more, and anything else the shares do
-  not cover. It iterates exact best responses (grid scan over a geometric
-  lattice, bounded refinement, then a derivative polish) to a fixed point:
-  each sweep evaluates every citizen's best response at the current state,
-  until the sup-norm gap is within the tolerance. The next state is a
-  safeguarded Anderson mixing of the last few states (Walker & Ni 2011)
-  with ``damping`` as the mixing factor, or the plain damped step, which
-  moves the state by ``damping`` toward every best response, where mixing
-  does not lower the gap (``solve_equilibrium`` has the details).
+  not cover. It iterates exact best responses to a fixed point: each sweep
+  evaluates every citizen's best response at the current state, until the
+  sup-norm gap is within the tolerance. The next state is a safeguarded
+  Anderson mixing of the last few states (Walker & Ni 2011) with
+  ``damping`` as the mixing factor, or the plain damped step, which moves
+  the state by ``damping`` toward every best response, where mixing does
+  not lower the gap (``solve_equilibrium`` has the details).
+
+One citizen's best response, with the others' aggregates fixed, takes one
+of two routes (``best_response_full``, the scalar engine and the myopic
+round agents all share it):
+
+* the first-order route, for a concave family with a > 0, no shadow price
+  and any rule but PM_QF. Each such rule makes F concave in c, so the
+  utility is too, and the best response is 0 or the one root of the
+  first-order condition du/dc = 0 (the replacement function of aggregative
+  games; Cornes & Hartley 2007): closed form under the linear rules and
+  for SQRT under QF, otherwise a bracketed root in y = c**(1/beta).
+* the grid route, for everyone else (S-shaped values, harmed citizens,
+  PM_QF's two sign branches, shadow prices): a grid scan over a geometric
+  lattice, bounded refinement, then a derivative polish.
 
 Non-convergence is reported as a diagnostic result, never an exception.
 """
@@ -351,15 +364,68 @@ def _maximize_branch(obj: _Objective) -> tuple[float, float]:
     return c_star, obj.u(c_star)
 
 
+def _first_order_response(vf, config, s_o, A_o, Y_o) -> float:
+    """Best contribution of a member whose utility V(F(c)) - c is concave
+    in c: 0 where du/dc(0+) <= 0, else the root of du/dc = 0.
+
+    Under the linear rules the root is the target level V'(F) = 1/scale.
+    Under the other rules it is sought in y = c**(1/beta) (beta = 2 for QF
+    and CQF), where dF/dc = alpha*((Z + y)/y)**(beta - 1) + 1 - alpha and Z
+    is the others' aggregate (signed root sum, or power sum under BETA);
+    V'(F)*dF/dc falls in y and is 1 at the root. QF with SQRT values has
+    the root y = a/2 whatever the others give. Raises NoSolutionError where
+    the others or the root lie past _C_MAX, as the grid scan does.
+    """
+    if max(A_o, s_o * s_o) > _C_MAX:
+        raise NoSolutionError(
+            f"no best response below {_C_MAX:g}: others hold {A_o:g}")
+    v = config.variant
+    if v in (Variant.PRIVATE, Variant.LINEAR_MATCH) or (
+            v is Variant.BETA and config.beta == 1.0):
+        scale = config.scale if v is Variant.LINEAR_MATCH else 1.0
+        if scale * vf.marginal_at(scale * A_o) <= 1.0:
+            return 0.0
+        c = max(vf.inverse_marginal(1.0 / scale) / scale - A_o, 0.0)
+    elif v is Variant.QF and vf.family is Family.SQRT:
+        c = (0.5 * vf.a) ** 2
+    else:
+        alpha = config.alpha if v is Variant.CQF else 1.0
+        beta = config.beta if v is Variant.BETA else 2.0
+        Z = Y_o if v is Variant.BETA else s_o
+        if Z == 0.0 and vf.marginal_at(0.0) <= 1.0:
+            # alone, dF/dc = 1 and F(0) = 0
+            return 0.0
+
+        def gain(y):
+            T = Z + y
+            F = alpha * T ** beta + (1.0 - alpha) * (A_o + y ** beta)
+            return vf.marginal_at(F) * (alpha * (T / y) ** (beta - 1.0) + 1.0 - alpha)
+
+        # bracketing past y_max could overflow; no best response lies there
+        y_max = _C_MAX ** (1.0 / beta)
+        c = math.inf if gain(y_max) > 1.0 else _unit_root(gain)[0] ** beta
+    if c > _C_MAX:
+        raise NoSolutionError(f"no best response below {_C_MAX:g}")
+    return c
+
+
 def _best_response_core(vf, lam, config, s_o, A_o, Y_o) -> BestResponseResult:
-    signs = (1, -1) if config.variant is Variant.PM_QF else (1,)
     base = _Objective(vf, lam, config, 1, s_o, A_o, Y_o)
     candidates = [(0.0, 1, base.u0())]
-    for sign in signs:
-        obj = _Objective(vf, lam, config, sign, s_o, A_o, Y_o)
-        c_star, u_star = _maximize_branch(obj)
+    if (lam == 0.0 and vf is not None and vf.concave
+            and config.variant not in (Variant.PM_QF, Variant.ONE_P_ONE_V)):
+        # F is concave in c under these rules, so u is too and the
+        # first-order root is the global maximiser
+        c_star = _first_order_response(vf, config, s_o, A_o, Y_o)
         if c_star > 0.0:
-            candidates.append((c_star, sign, u_star))
+            candidates.append((c_star, 1, base.u(c_star)))
+    else:
+        signs = (1, -1) if config.variant is Variant.PM_QF else (1,)
+        for sign in signs:
+            obj = _Objective(vf, lam, config, sign, s_o, A_o, Y_o)
+            c_star, u_star = _maximize_branch(obj)
+            if c_star > 0.0:
+                candidates.append((c_star, sign, u_star))
     u_best = max(u for _, _, u in candidates)
     tie_eps = 1e-9 * max(1.0, abs(u_best))
     tied = [c for c in candidates if c[2] >= u_best - tie_eps]
@@ -392,9 +458,12 @@ def best_response_full(citizen: Citizen, good_id: str,
     """Exact best response of one citizen, with sign and diagnostics.
 
     ``others`` is the fixed profile of everyone else (it must not contain
-    the citizen). Under PM_QF both sign branches are evaluated. A citizen
-    indifferent between zero and an interior optimum contributes zero, and
-    near-ties are reported through ``multi_optimum``.
+    the citizen). A citizen with a concave value (a > 0, not S-shaped) and
+    no shadow price, under any rule but PM_QF, takes the first-order root;
+    everyone else takes the grid scan, which under PM_QF evaluates both
+    sign branches (module docstring). A citizen indifferent between zero
+    and an interior optimum contributes zero, and near-ties are reported
+    through ``multi_optimum``.
     """
     if config.variant is Variant.ONE_P_ONE_V:
         raise PolicyError("ONE_P_ONE_V is not a contribution game")

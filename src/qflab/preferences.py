@@ -120,6 +120,22 @@ class ValueFunction:
                 out = self.a * self.k * sig * (1.0 - sig)
         return out if arr.ndim else float(out)
 
+    def marginal_at(self, F: float) -> float:
+        """V'(F) at one float F >= 0, on Python floats rather than arrays,
+        for root-finders that call it many times. It agrees with
+        ``marginal`` to rounding (libm and numpy powers may differ in the
+        last bit), with the same infinity sentinel at F = 0."""
+        fam = self.family
+        if fam is Family.LOG:
+            return self.a / (1.0 + F)
+        if fam is Family.SSHAPED:
+            return self.marginal(F)
+        if F <= 0.0:
+            return math.copysign(math.inf, self.a)
+        if fam is Family.SQRT:
+            return self.a / (2.0 * math.sqrt(F))
+        return self.a * self.rho * F ** (self.rho - 1.0)
+
     def inverse_marginal(self, target: float) -> float:
         """F >= 0 with V'(F) = target, on the decreasing branch.
 

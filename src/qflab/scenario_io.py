@@ -245,14 +245,19 @@ def parse_contributions_csv(source) -> list[ContributionProfile]:
     directly, without a ``Contribution`` per row.
     """
     if isinstance(source, (str, Path)) and "\n" not in str(source):
-        text = Path(source).read_text()
+        with open(source, newline="") as f:
+            text = f.read()
     else:
         text = str(source)
-    reader = csv.reader(io.StringIO(text))
+    # newline="": records may end in \n, \r\n or \r, and a quoted \r or
+    # \r\n inside an id is kept as written
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)
     except StopIteration:
         raise ScenarioFormatError("contributions file is empty") from None
+    except csv.Error as e:
+        raise ScenarioFormatError(f"line 1: {e}") from None
     header = [h.strip() for h in header]
     required = ["citizen_id", "good_id", "amount"]
     for col in required:
@@ -265,40 +270,45 @@ def parse_contributions_csv(source) -> list[ContributionProfile]:
     min_fields = max(len(required), ci + 1, gi + 1, ai + 1)
     columns: dict[str, tuple[list, list, list]] = {}
     inf = math.inf
-    for lineno, row in enumerate(reader, start=2):
-        # A blank row (every cell whitespace) is skipped. It is either short
-        # or has an empty id, so it is looked for only on those two paths.
-        if len(row) < min_fields:
-            if not "".join(row).strip():
-                continue
-            raise ScenarioFormatError(f"line {lineno}: expected at least "
-                                      f"{min_fields} fields, got {len(row)}")
-        cid = row[ci].strip()
-        gid = row[gi].strip()
-        if not cid or not gid:
-            if not "".join(row).strip():
-                continue
-            raise ScenarioFormatError(f"line {lineno}: empty citizen_id or good_id")
-        try:
-            amount = float(row[ai])
-        except ValueError:
-            raise ScenarioFormatError(
-                f"line {lineno}: amount {row[ai]!r} is not a number") from None
-        sign = 1
-        if len(row) > si >= 0:
-            raw = row[si].strip()
-            if raw not in _SIGNS:
+    lineno = 1
+    try:
+        for lineno, row in enumerate(reader, start=2):
+            # A blank row (every cell whitespace) is skipped. It is either short
+            # or has an empty id, so it is looked for only on those two paths.
+            if len(row) < min_fields:
+                if not "".join(row).strip():
+                    continue
+                raise ScenarioFormatError(f"line {lineno}: expected at least "
+                                          f"{min_fields} fields, got {len(row)}")
+            cid = row[ci].strip()
+            gid = row[gi].strip()
+            if not cid or not gid:
+                if not "".join(row).strip():
+                    continue
+                raise ScenarioFormatError(f"line {lineno}: empty citizen_id or good_id")
+            try:
+                amount = float(row[ai])
+            except ValueError:
                 raise ScenarioFormatError(
-                    f"line {lineno}: sign must be one of +1/-1/+/-, got {raw!r}")
-            sign = _SIGNS[raw]
-        if not 0.0 <= amount < inf:
-            raise ScenarioFormatError(f"line {lineno}: {_entry_error(amount, sign)}")
-        good = columns.get(gid)
-        if good is None:
-            good = columns[gid] = ([], [], [])
-        good[0].append(cid)
-        good[1].append(amount)
-        good[2].append(sign)
+                    f"line {lineno}: amount {row[ai]!r} is not a number") from None
+            sign = 1
+            if len(row) > si >= 0:
+                raw = row[si].strip()
+                if raw not in _SIGNS:
+                    raise ScenarioFormatError(
+                        f"line {lineno}: sign must be one of +1/-1/+/-, got {raw!r}")
+                sign = _SIGNS[raw]
+            if not 0.0 <= amount < inf:
+                raise ScenarioFormatError(f"line {lineno}: {_entry_error(amount, sign)}")
+            good = columns.get(gid)
+            if good is None:
+                good = columns[gid] = ([], [], [])
+            good[0].append(cid)
+            good[1].append(amount)
+            good[2].append(sign)
+    except csv.Error as e:
+        # raised while reading the record after the last one numbered
+        raise ScenarioFormatError(f"line {lineno + 1}: {e}") from None
     profiles = []
     for gid, (ids, amounts, signs) in columns.items():
         try:
@@ -308,17 +318,26 @@ def parse_contributions_csv(source) -> list[ContributionProfile]:
     return profiles
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field: quoted, with quotes doubled, where it holds
+    a comma, a double quote or a line break (``\\n`` or ``\\r``), bare
+    otherwise."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def contributions_to_csv(profiles, digits: int = 12) -> str:
     """Write profiles as a contributions table with `digits` significant digits.
 
-    Ids are quoted only where CSV needs it, so an id with a comma, double
-    quote or newline reads back unchanged through ``parse_contributions_csv``.
+    Ids are quoted only where CSV needs it (``_csv_field``), so an id with a
+    comma, double quote, ``\\n`` or ``\\r`` reads back unchanged through
+    ``parse_contributions_csv``, from a string or from a file.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("citizen_id", "good_id", "amount", "sign"))
+    lines = ["citizen_id,good_id,amount,sign\n"]
     for p in profiles:
+        gid = _csv_field(p.good_id)
         for cid, amount, sign in zip(p.citizen_ids, p.amounts, p.signs):
-            writer.writerow((cid, p.good_id, f"{amount:.{digits}g}",
-                             "+1" if sign > 0 else "-1"))
-    return buf.getvalue()
+            lines.append(f"{_csv_field(cid)},{gid},{amount:.{digits}g},"
+                         f"{'+1' if sign > 0 else '-1'}\n")
+    return "".join(lines)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qflab import Citizen, DeficitMode, MechanismConfig, Scenario, ValueFunction, Variant
+from qflab import equilibrium
 
 
 def sqrt_scenario(weights, config=None, lam=0.0, good="g"):
@@ -116,3 +117,15 @@ def oracle_best_response(citizen, good, others, config, c_max):
         if u_ref > best_u + 1e-12 * max(1.0, abs(best_u)):
             best_c, best_u = c_ref, u_ref
     return best_c
+
+
+# ---------------------------------------------------------------------------
+# the grid route, to compare the first-order route against
+
+
+def grid_route(vf, config, s_o, A_o, Y_o):
+    """The grid scan's positive-branch maximiser, shaped as
+    ``equilibrium._first_order_response``: patched in, it sends first-order
+    members through the grid scan and the same candidate and tie logic."""
+    obj = equilibrium._Objective(vf, 0.0, config, 1, s_o, A_o, Y_o)
+    return equilibrium._maximize_branch(obj)[0]

@@ -48,6 +48,11 @@ class TestFund:
         assert main(["fund", path, "--variant", "QF"]) == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_oversized_field_exit_2(self, tmp_path, capsys):
+        path = write(tmp_path, "c.csv", CONTRIB + "x" * 140_000 + ",g,1\n")
+        assert main(["fund", path, "--variant", "QF"]) == 2
+        assert "line 4: field larger than field limit" in capsys.readouterr().err
+
 
 class TestEquilibrium:
     def test_qf_scenario(self, tmp_path, capsys):

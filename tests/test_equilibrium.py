@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qflab import equilibrium as eq
 from qflab import (
     Citizen,
     ContributionProfile,
@@ -19,6 +20,7 @@ from qflab import (
     solve_equilibrium,
 )
 from conftest import (
+    grid_route,
     oracle_best_response,
     oracle_value,
     random_concave_citizens,
@@ -140,6 +142,123 @@ class TestBestResponse:
         assert r.amount > 0  # alone, funding the hump is profitable here
         want = oracle_best_response(cit, "g", empty, MechanismConfig.qf(), 500.0)
         assert r.amount == pytest.approx(want, rel=1e-5)
+
+
+class TestFirstOrderRoute:
+    """Members whose utility is concave in their contribution (a concave
+    family with a > 0, no shadow price, any rule but PM_QF) take the
+    first-order root; everyone else takes the grid scan."""
+
+    FAMILIES = {
+        "SQRT": lambda rng: ValueFunction.sqrt(float(rng.uniform(0.5, 6.0))),
+        "LOG": lambda rng: ValueFunction.log(float(rng.uniform(0.5, 6.0))),
+        "ISOELASTIC": lambda rng: ValueFunction.isoelastic(
+            float(rng.uniform(0.5, 6.0)), float(rng.uniform(0.2, 0.8))),
+    }
+    RULES = {
+        "QF": MechanismConfig.qf(),
+        "CQF0.05": MechanismConfig.cqf(0.05),
+        "CQF0.5": MechanismConfig.cqf(0.5),
+        "CQF0.95": MechanismConfig.cqf(0.95),
+        "BETA1.5": MechanismConfig.beta_rule(1.5),
+        "BETA3": MechanismConfig.beta_rule(3.0),
+        "PRIVATE": MechanismConfig.private(),
+        "LINEAR_MATCH2": MechanismConfig.linear_match(2.0),
+    }
+
+    @staticmethod
+    def both_routes(monkeypatch, cit, others, cfg):
+        root = best_response_full(cit, "g", others, cfg)
+        with monkeypatch.context() as m:
+            m.setattr(eq, "_first_order_response", grid_route)
+            grid = best_response_full(cit, "g", others, cfg)
+        return root, grid
+
+    @pytest.mark.parametrize("rule", list(RULES))
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_agrees_with_grid_scan_and_oracle(self, family, rule, rng, monkeypatch):
+        cfg = self.RULES[rule]
+        for draw in range(10):
+            n_others = 0 if draw == 0 else int(rng.integers(1, 6))
+            others = ContributionProfile.from_amounts(
+                "g", {f"o{i}": float(rng.uniform(0.1, 9.0)) for i in range(n_others)})
+            cit = Citizen("i", {"g": self.FAMILIES[family](rng)})
+            root, grid = self.both_routes(monkeypatch, cit, others, cfg)
+            assert root.amount == pytest.approx(grid.amount, rel=1e-9, abs=0.0)
+            assert root.utility == pytest.approx(grid.utility, rel=1e-9, abs=1e-12)
+            assert root.multi_optimum == grid.multi_optimum
+            want = oracle_best_response(cit, "g", others, cfg,
+                                        c_max=max(100.0, 10.0 * root.amount))
+            assert root.amount == pytest.approx(want, rel=1e-5, abs=1e-7)
+
+    @pytest.mark.parametrize("cfg", [MechanismConfig.qf(), MechanismConfig.cqf(0.5),
+                                     MechanismConfig.beta_rule(1.5)])
+    def test_log_alone_below_unit_marginal_contributes_zero(self, cfg, monkeypatch):
+        # alone, dF/dc = 1 at 0, so du/dc(0+) = a - 1 < 0
+        cit = Citizen("i", {"g": ValueFunction.log(0.7)})
+        root, grid = self.both_routes(monkeypatch, cit, ContributionProfile("g", ()), cfg)
+        assert root == grid
+        assert root.amount == 0.0 and not root.multi_optimum
+
+    @pytest.mark.parametrize("cfg", [MechanismConfig.private(),
+                                     MechanismConfig.linear_match(2.0)])
+    @pytest.mark.parametrize("a, amounts", [
+        (2.0, {"o": 9.0}),  # the others already fund past the target level
+        (0.4, {}),          # scale * V'(0) < 1: no target level at all
+    ])
+    def test_linear_corner_contributes_zero(self, cfg, a, amounts, monkeypatch):
+        cit = Citizen("i", {"g": ValueFunction.log(a)})
+        others = ContributionProfile.from_amounts("g", amounts)
+        root, grid = self.both_routes(monkeypatch, cit, others, cfg)
+        assert root == grid
+        assert root.amount == 0.0
+
+    def test_near_tie_with_zero_resolves_to_zero(self, monkeypatch):
+        # the root sits at c = a - 1 = 1e-5 and gains about 5e-11 over 0,
+        # inside the tie tolerance: zero wins and the tie is flagged
+        cit = Citizen("i", {"g": ValueFunction.log(1.0 + 1e-5)})
+        root, grid = self.both_routes(
+            monkeypatch, cit, ContributionProfile("g", ()), MechanismConfig.qf())
+        assert root.amount == grid.amount == 0.0
+        assert root.multi_optimum and grid.multi_optimum
+
+    def test_qf_sqrt_root_is_closed_form(self):
+        cit = Citizen("i", {"g": ValueFunction.sqrt(3.0)})
+        others = ContributionProfile.from_amounts("g", {"o": 4.0, "p": 0.5})
+        assert best_response(cit, "g", others, MechanismConfig.qf()) == 2.25
+
+    def test_eligible_members_never_reach_the_grid(self, rng, monkeypatch):
+        def unreachable(obj):
+            raise AssertionError("grid scan reached")
+
+        monkeypatch.setattr(eq, "_maximize_branch", unreachable)
+        others = ContributionProfile.from_amounts("g", {"o": 2.0, "p": 5.0})
+        for make in self.FAMILIES.values():
+            cit = Citizen("i", {"g": make(rng)})
+            for cfg in self.RULES.values():
+                best_response_full(cit, "g", others, cfg)
+        sc = Scenario(random_concave_citizens(rng, 6), ["g"], MechanismConfig.cqf(0.5))
+        assert solve_equilibrium(sc, engine="scalar").converged
+
+    @pytest.mark.parametrize("vf, cfg, lam", [
+        (ValueFunction.sshaped(20.0, 0.5, 30.0), MechanismConfig.qf(), 0.0),
+        (ValueFunction.log(-2.0), MechanismConfig.cqf(0.5), 0.0),
+        (ValueFunction.sqrt(2.0), MechanismConfig.pm_qf(), 0.0),
+        (ValueFunction.sqrt(2.0),
+         MechanismConfig.qf(deficit_mode=DeficitMode.SHADOW_PRICES), 0.3),
+    ], ids=["sshaped", "harmed", "pm_qf", "shadow_price"])
+    def test_other_members_take_the_grid(self, vf, cfg, lam, monkeypatch):
+        calls = []
+        grid_scan = eq._maximize_branch
+
+        def recording(obj):
+            calls.append(obj)
+            return grid_scan(obj)
+
+        monkeypatch.setattr(eq, "_maximize_branch", recording)
+        cit = Citizen("i", {"g": vf}, lam=lam)
+        best_response_full(cit, "g", ContributionProfile.from_amounts("g", {"o": 2.0}), cfg)
+        assert calls
 
 
 # ---------------------------------------------------------------------------

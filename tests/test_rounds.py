@@ -22,7 +22,8 @@ from qflab import (
     run_round,
     snapshots_to_json,
 )
-from conftest import sqrt_scenario
+from qflab import equilibrium
+from conftest import grid_route, sqrt_scenario
 
 
 QF = MechanismConfig.qf()
@@ -235,6 +236,32 @@ class TestRunRound:
         l2 = run_round(sc, agents, window_end=50, delay=0, seed=2)
         assert l1.settlement["g"].funding == pytest.approx(
             l2.settlement["g"].funding, abs=1e-6)
+
+    def test_first_order_round_matches_grid_route(self, monkeypatch):
+        # CQF members with LOG and ISOELASTIC values take the first-order
+        # root; the same round through the grid scan commits the same amounts
+        values = [ValueFunction.log(3.0), ValueFunction.isoelastic(2.5, 0.4),
+                  ValueFunction.log(2.2), ValueFunction.isoelastic(1.8, 0.6),
+                  ValueFunction.log(4.0)]
+        cits = [Citizen(f"c{i}", {"g": vf, "h": vf}) for i, vf in enumerate(values)]
+        sc = Scenario(cits, ["g", "h"], MechanismConfig.cqf(0.5))
+
+        def play():
+            agents = {c.id: MyopicBestResponse(c, sc.goods) for c in cits}
+            return run_round(sc, agents, window_end=60, delay=1, seed=11)
+
+        root, again = play(), play()
+        assert ledger_to_csv(root) == ledger_to_csv(again)
+        assert snapshots_to_json(root) == snapshots_to_json(again)
+        monkeypatch.setattr(equilibrium, "_first_order_response", grid_route)
+        grid = play()
+        want = grid.commitments_by_good()
+        got = root.commitments_by_good()
+        assert got.keys() == want.keys()
+        for g in got:
+            assert got[g].keys() == want[g].keys()
+            for cid, amount in got[g].items():
+                assert amount == pytest.approx(want[g][cid], rel=1e-9, abs=0.0)
 
     def test_snapshots_replay_exactly(self):
         sc = sqrt_scenario([2.0, 4.0, 3.0])

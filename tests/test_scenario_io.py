@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qflab import DeficitMode, ScenarioFormatError, Variant
+from qflab import ContributionProfile, DeficitMode, ScenarioFormatError, Variant
 from qflab.scenario_io import (
     contributions_to_csv,
     parse_contributions_csv,
@@ -243,6 +243,16 @@ class TestContributionsCsvErrors:
             parse_contributions_csv(text)
         assert str(err.value) == message
 
+    def test_oversized_field_reports_its_record(self, tmp_path):
+        # a field past csv's limit (131,072 characters) is a format error
+        path = tmp_path / "c.csv"
+        path.write_text(H + "a,g,1\n" + "x" * 140_000 + ",g,1\n")
+        with pytest.raises(ScenarioFormatError,
+                           match=r"^line 3: field larger than field limit \(131072\)$"):
+            parse_contributions_csv(path)
+        with pytest.raises(ScenarioFormatError, match="^line 1: field larger"):
+            parse_contributions_csv("x" * 140_000 + "\n")
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
@@ -273,6 +283,25 @@ class TestContributionsCsvRoundTrip:
         path.write_text(contributions_to_csv(profiles))
         again = parse_contributions_csv(path)
         assert again == profiles
+
+    @pytest.mark.parametrize("through", ["file", "string"])
+    def test_carriage_returns_survive(self, through, tmp_path):
+        profiles = [ContributionProfile.from_columns(
+            "g\rh", ["a\rb", "c\r\nd", "e\n\rf", "x"], [1.0, 2.0, 3.0, 4.0], [1, 1, -1, 1])]
+        text = contributions_to_csv(profiles)
+        assert '"a\rb","g\rh",1,+1\n' in text
+        if through == "file":
+            path = tmp_path / "c.csv"
+            path.write_text(text)
+            text = path
+        assert parse_contributions_csv(text) == profiles
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_any_line_ending_reads_alike(self, end, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_bytes((HS + "a,g,1,+1\nb,g,4,-1\n").replace("\n", end).encode())
+        assert parse_contributions_csv(path) == parse_contributions_csv(
+            HS + "a,g,1,+1\nb,g,4,-1\n")
 
     def test_plain_ids_are_written_unquoted(self):
         profiles = parse_contributions_csv(HS + "a,g,1.25,+1\nb,g,4,-1\n")
