@@ -133,7 +133,8 @@ def _global_welfare_argmax(vfs: list[ValueFunction], cost: float) -> float:
     """Global argmax of sum_i V_i(F) - cost*F over F >= 0, by grid scan plus
     bounded refinement. Handles non-concave (S-shaped) and decreasing values."""
     def agg(F):
-        return math.fsum(vf.marginal(F) for vf in vfs if math.isfinite(vf.marginal(F)))
+        terms = [vf.marginal(F) for vf in vfs]
+        return math.fsum(t for t in terms if math.isfinite(t))
 
     F_hi = 1.0
     while F_hi < 1e250:
@@ -383,7 +384,7 @@ def _first_order_response(vf, config, s_o, A_o, Y_o) -> float:
     if v in (Variant.PRIVATE, Variant.LINEAR_MATCH) or (
             v is Variant.BETA and config.beta == 1.0):
         scale = config.scale if v is Variant.LINEAR_MATCH else 1.0
-        if scale * vf.marginal_at(scale * A_o) <= 1.0:
+        if scale * vf.marginal(scale * A_o) <= 1.0:
             return 0.0
         c = max(vf.inverse_marginal(1.0 / scale) / scale - A_o, 0.0)
     elif v is Variant.QF and vf.family is Family.SQRT:
@@ -392,14 +393,14 @@ def _first_order_response(vf, config, s_o, A_o, Y_o) -> float:
         alpha = config.alpha if v is Variant.CQF else 1.0
         beta = config.beta if v is Variant.BETA else 2.0
         Z = Y_o if v is Variant.BETA else s_o
-        if Z == 0.0 and vf.marginal_at(0.0) <= 1.0:
+        if Z == 0.0 and vf.marginal(0.0) <= 1.0:
             # alone, dF/dc = 1 and F(0) = 0
             return 0.0
 
         def gain(y):
             T = Z + y
             F = alpha * T ** beta + (1.0 - alpha) * (A_o + y ** beta)
-            return vf.marginal_at(F) * (alpha * (T / y) ** (beta - 1.0) + 1.0 - alpha)
+            return vf.marginal(F) * (alpha * (T / y) ** (beta - 1.0) + 1.0 - alpha)
 
         # bracketing past y_max could overflow; no best response lies there
         y_max = _C_MAX ** (1.0 / beta)
@@ -500,20 +501,27 @@ class _FamilyArrays:
         self.idx_sqrt = np.nonzero(fam == 0)[0]
         self.idx_log = np.nonzero(fam == 1)[0]
         self.idx_iso = np.nonzero(fam == 2)[0]
+        # per-family parameters for marginal, gathered once
+        self.a_sqrt = self.a[self.idx_sqrt]
+        self.a_log = self.a[self.idx_log]
+        self.a_rho_iso = self.a[self.idx_iso] * self.rho[self.idx_iso]
+        self.rho_iso_m1 = self.rho[self.idx_iso] - 1.0
 
-    def marginal(self, F) -> np.ndarray:
-        """Per-member V'(F); F is one level for all or one per member."""
-        F = np.broadcast_to(np.asarray(F, dtype=float), (self.n,))
+    def marginal(self, F: float) -> np.ndarray:
+        """Per-member V'(F) at one level F, on Python floats where the
+        family allows."""
+        F = float(F)
+        clamped = max(F, 1e-300)
         out = np.empty(self.n)
         if self.idx_sqrt.size:
-            i = self.idx_sqrt
-            out[i] = self.a[i] / (2.0 * np.sqrt(np.maximum(F[i], 1e-300)))
+            out[self.idx_sqrt] = self.a_sqrt / (2.0 * math.sqrt(clamped))
         if self.idx_log.size:
-            i = self.idx_log
-            out[i] = self.a[i] / (1.0 + F[i])
+            out[self.idx_log] = self.a_log / (1.0 + F)
         if self.idx_iso.size:
-            i = self.idx_iso
-            out[i] = self.a[i] * self.rho[i] * np.maximum(F[i], 1e-300) ** (self.rho[i] - 1.0)
+            # a contiguous base: numpy may take another power loop for a
+            # broadcast scalar, with other last bits
+            base = np.full(self.idx_iso.size, clamped)
+            out[self.idx_iso] = self.a_rho_iso * base ** self.rho_iso_m1
         return out
 
     def inverse_marginal(self, target) -> np.ndarray:

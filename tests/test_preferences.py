@@ -104,6 +104,99 @@ class TestMarginal:
         np.testing.assert_allclose(vf.value(F), 2 * np.log1p(F))
 
 
+def same_bits(x, y):
+    """Equal as IEEE doubles, sign of zero included; any NaN equals any NaN."""
+    if math.isnan(x) or math.isnan(y):
+        return math.isnan(x) and math.isnan(y)
+    return np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+def signed_families(rng):
+    """Every family, with a negative weight on each concave one, and the
+    ISOELASTIC exponent 0.5 that numpy takes to sqrt."""
+    a = float(rng.uniform(0.3, 8.0))
+    rho = float(rng.uniform(0.1, 0.9))
+    vfs = [ValueFunction.sshaped(a, float(rng.uniform(0.2, 3.0)), float(rng.uniform(1.0, 40.0)))]
+    for w in (a, -a):
+        vfs += [ValueFunction.sqrt(w), ValueFunction.log(w),
+                ValueFunction.isoelastic(w, rho), ValueFunction.isoelastic(w, 0.5)]
+    return vfs
+
+
+class TestFloatPath:
+    """A float or int F is evaluated on Python floats; the results must be
+    the bits the array path gives for np.asarray(F)."""
+
+    EDGES = (0.0, -0.0, 5e-324, 1e-310, 1e-300, 1.0, math.inf, math.nan)
+
+    def assert_matches_array_path(self, vf, F):
+        for method in ("value", "marginal"):
+            got = getattr(vf, method)(F)
+            want = getattr(vf, method)(np.asarray(F, dtype=float))
+            assert type(got) is float
+            assert same_bits(got, want), (vf, method, F, got, want)
+
+    def test_seeded_draws(self, rng):
+        for _ in range(60):
+            Fs = np.concatenate([np.exp(rng.uniform(-40.0, 40.0, 20)),
+                                 rng.uniform(0.0, 100.0, 20)])
+            for vf in signed_families(rng):
+                for F in Fs.tolist():
+                    self.assert_matches_array_path(vf, F)
+                    self.assert_matches_array_path(vf, np.float64(F))
+
+    def test_edge_cases(self, rng):
+        for _ in range(5):
+            for vf in signed_families(rng):
+                for F in self.EDGES:
+                    self.assert_matches_array_path(vf, F)
+        for vf in (ValueFunction.sqrt(2.0), ValueFunction.isoelastic(-3.0, 0.3)):
+            self.assert_matches_array_path(vf, 0)
+            self.assert_matches_array_path(vf, 7)
+
+    def test_sshaped_past_exp_range(self):
+        # k*(F - m) runs from -1000 at F = 0 to +1000 at F = 200
+        vf = ValueFunction.sshaped(3.0, 10.0, 100.0)
+        for F in (0.0, 1.0, 29.0, 29.1, 29.2, 30.0, 170.8, 170.9, 171.0, 200.0):
+            self.assert_matches_array_path(vf, F)
+
+    @pytest.mark.parametrize("F", [-1.0, -1, np.float64(-1.0), -5e-324])
+    def test_negative_rejected_as_on_arrays(self, F):
+        for vf in (ValueFunction.sqrt(1.0), ValueFunction.log(-1.0),
+                   ValueFunction.isoelastic(1.0, 0.4), ValueFunction.sshaped(1.0, 1.0, 5.0)):
+            for method in ("value", "marginal"):
+                with pytest.raises(ValueError, match="funding level must be nonnegative"):
+                    getattr(vf, method)(F)
+                with pytest.raises(ValueError, match="funding level must be nonnegative"):
+                    getattr(vf, method)(np.asarray(F, dtype=float))
+
+    def test_family_arrays(self, rng):
+        from qflab.equilibrium import _FamilyArrays
+
+        def array_reference(arrays, F):
+            # the per-member array evaluation, gathered on each call
+            F = np.broadcast_to(np.asarray(F, dtype=float), (arrays.n,))
+            out = np.empty(arrays.n)
+            a, rho = arrays.a, arrays.rho
+            i = arrays.idx_sqrt
+            out[i] = a[i] / (2.0 * np.sqrt(np.maximum(F[i], 1e-300)))
+            i = arrays.idx_log
+            out[i] = a[i] / (1.0 + F[i])
+            i = arrays.idx_iso
+            out[i] = a[i] * rho[i] * np.maximum(F[i], 1e-300) ** (rho[i] - 1.0)
+            return out
+
+        for n in (1, 5, 40):
+            vfs = [vf for _ in range(n) for vf in signed_families(rng)[1:]]
+            arrays = _FamilyArrays(list(enumerate(vfs)))
+            Fs = np.concatenate([self.EDGES, np.exp(rng.uniform(-40.0, 40.0, 30))])
+            for F in Fs.tolist():
+                got = arrays.marginal(F)
+                want = array_reference(arrays, F)
+                assert got.shape == want.shape == (len(vfs),)
+                assert all(same_bits(x, y) for x, y in zip(got.tolist(), want.tolist())), F
+
+
 class TestInverseMarginal:
     def test_examples(self):
         assert ValueFunction.sqrt(2).inverse_marginal(1 / 3) == pytest.approx(9, rel=1e-12)
