@@ -39,6 +39,7 @@ from .rounds import (
     snapshots_to_json,
 )
 from .scenario_io import (
+    _csv_field,
     contributions_to_csv,
     parse_contributions_csv,
     parse_scenario,
@@ -84,11 +85,12 @@ def _table(headers, rows) -> str:
     return "\n".join(lines)
 
 
+def _csv_row(cells) -> str:
+    return ",".join(_csv_field(_fmt(c)) for c in cells)
+
+
 def _csv_section(title, headers, rows) -> str:
-    out = [f"# {title}", ",".join(headers)]
-    for r in rows:
-        out.append(",".join(_fmt(c) for c in r))
-    return "\n".join(out)
+    return "\n".join([f"# {title}", _csv_row(headers), *map(_csv_row, rows)])
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +252,7 @@ def cmd_sweep(args) -> int:
     for g in scenario.goods:
         headers += [f"funding[{g}]", f"marginal_value[{g}]"]
     headers += ["deficit", "welfare_total", "error"]
-    lines = [",".join(headers)]
+    lines = [_csv_row(headers)]
     for value in grid:
         try:
             trial = scenario
@@ -378,9 +380,11 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["text", "csv", "json"], default="text")
     common.add_argument("--out", metavar="PATH", default=None)
-    common.add_argument("--tolerance", type=float, default=1e-8)
-    common.add_argument("--max-iters", type=int, default=10000)
-    common.add_argument("--damping", type=float, default=0.5)
+    # the solver's settings, for the subcommands that solve
+    solver = argparse.ArgumentParser(add_help=False)
+    solver.add_argument("--tolerance", type=float, default=1e-8)
+    solver.add_argument("--max-iters", type=int, default=10000)
+    solver.add_argument("--damping", type=float, default=0.5)
 
     parser = argparse.ArgumentParser(
         prog="qflab",
@@ -401,14 +405,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="population size for per-capita taxes")
     p.set_defaults(func=cmd_fund)
 
-    p = sub.add_parser("equilibrium", parents=[common],
+    p = sub.add_parser("equilibrium", parents=[common, solver],
                        help="solve the contribution game for a scenario file")
     p.add_argument("scenario")
     p.add_argument("--contributions-out", metavar="PATH", default=None,
                    help="also write equilibrium contributions as a CSV")
     p.set_defaults(func=cmd_equilibrium)
 
-    p = sub.add_parser("sweep", parents=[common],
+    p = sub.add_parser("sweep", parents=[common, solver],
                        help="re-solve a scenario over a parameter grid (CSV out)")
     p.add_argument("scenario")
     p.add_argument("--param", required=True, choices=["alpha", "beta", "N"])

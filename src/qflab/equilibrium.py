@@ -4,13 +4,14 @@ The central entry point is ``solve_equilibrium``. Goods are independent by
 assumption, so each good is solved on its own by one of two engines:
 
 * the vector engine, for concave value families with positive weights.
-  Every rule here is an aggregative game, so a good's equilibrium is one
-  root in its funding level F rather than a fixed point in N dimensions.
-  Each member's first-order condition fixes their share w_i(F) of the rule's
-  aggregate (square roots for the quadratic rules, c**(1/beta) for the
-  power family); the shares fall in F and F solves sum_i w_i(F) = 1 by a
-  bracketed root-find. The linear rules need no root: only the members
-  with the largest target level pay.
+  Every rule is F = alpha*T**beta + (1 - alpha)*scale*A, with
+  T = sum_i sign_i*c_i**(1/beta) and A = sum_i c_i (the rule's
+  ``RuleShape``, in mechanisms), so the game is aggregative in T and a
+  good's equilibrium is one root in its funding level F rather than a fixed
+  point in N dimensions. Each member's first-order condition fixes their
+  share w_i(F) of T; the shares fall in F and F solves sum_i w_i(F) = 1 by
+  a bracketed root-find. The linear rules (alpha = 0) need no root: only
+  the members with the largest target level pay.
 * the scalar engine, for S-shaped values, signed contributions with harmed
   citizens, shadow prices of 1 or more, and anything else the shares do
   not cover. It iterates exact best responses to a fixed point: each sweep
@@ -21,12 +22,16 @@ assumption, so each good is solved on its own by one of two engines:
   the state by ``damping`` toward every best response, where mixing does
   not lower the gap (``solve_equilibrium`` has the details).
 
-One citizen's best response, with the others' aggregates fixed, takes one
-of two routes (``best_response_full``, the scalar engine and the myopic
-round agents all share it):
+One citizen's best response sees the others only through their
+aggregates T_o and A_o: a contribution c with sign s gives
+F = funding(T_o + s*c**(1/beta), A_o + c), with dF/dc from the same shape.
+The scalar engine takes each member's T_o from the same roots as T, so it
+is never negative under the unsigned rules. The best response takes one of
+two routes (``best_response_full``, the scalar engine and the myopic round
+agents all share it):
 
 * the first-order route, for a concave family with a > 0, no shadow price
-  and any rule but PM_QF. Each such rule makes F concave in c, so the
+  and an unsigned rule. Each such rule makes F concave in c, so the
   utility is too, and the best response is 0 or the one root of the
   first-order condition du/dc = 0 (the replacement function of aggregative
   games; Cornes & Hartley 2007): closed form under the linear rules and
@@ -53,8 +58,6 @@ from .mechanisms import (
     FundingOutcome,
     MechanismConfig,
     Variant,
-    _power_sum,
-    _signed_root_sum,
     fund,
     settle_deficit,
 )
@@ -236,88 +239,39 @@ def _family_scale(vf: ValueFunction | None) -> float:
 class _Objective:
     """Utility of one citizen's contribution to one good, others fixed.
 
-    Exposes u(c), du/dc(c) and F(c) for one sign branch; c may be a scalar
-    or an ndarray. The deficit term uses the citizen's shadow price against
-    the good's own deficit F - (others' total + c).
+    Exposes u(c) and du/dc(c) for one sign branch, from the rule's shape
+    and the others' aggregates T_o and A_o; c may be a float (kept on
+    Python floats) or an ndarray. The deficit term uses the citizen's
+    shadow price against the good's own deficit F - (others' total + c).
+    ``vf`` None is an outsider, who values the good at 0.
     """
 
-    def __init__(self, vf, lam, config, sign, s_o, A_o, Y_o):
-        self.vf, self.lam, self.cfg = vf, lam, config
-        self.sign, self.s_o, self.A_o, self.Y_o = sign, s_o, A_o, Y_o
-
-    def _val(self, F):
-        return 0.0 * np.asarray(F, dtype=float) if self.vf is None else self.vf.value(F)
-
-    def _marg(self, F):
-        return 0.0 * np.asarray(F, dtype=float) if self.vf is None else self.vf.marginal(F)
+    def __init__(self, vf, lam, shape, sign, T_o, A_o):
+        self.vf, self.lam, self.shape = vf, lam, shape
+        self.sign, self.T_o, self.A_o = sign, T_o, A_o
 
     def F(self, c):
-        v = self.cfg.variant
-        c = np.asarray(c, dtype=float)
-        if v is Variant.PRIVATE:
-            return self.A_o + c
-        if v is Variant.LINEAR_MATCH:
-            return self.cfg.scale * (self.A_o + c)
-        if v in (Variant.QF, Variant.PM_QF):
-            T = self.s_o + self.sign * np.sqrt(c)
-            return T * T
-        if v is Variant.CQF:
-            T = self.s_o + np.sqrt(c)
-            return self.cfg.alpha * T * T + (1.0 - self.cfg.alpha) * (self.A_o + c)
-        b = self.cfg.beta
-        return (self.Y_o + c ** (1.0 / b)) ** b
-
-    def F0(self) -> float:
-        v = self.cfg.variant
-        if v is Variant.PRIVATE:
-            return self.A_o
-        if v is Variant.LINEAR_MATCH:
-            return self.cfg.scale * self.A_o
-        if v in (Variant.QF, Variant.PM_QF):
-            return self.s_o * self.s_o
-        if v is Variant.CQF:
-            return self.cfg.alpha * self.s_o**2 + (1.0 - self.cfg.alpha) * self.A_o
-        return self.Y_o ** self.cfg.beta
-
-    def dF(self, c):
-        v = self.cfg.variant
-        c = np.asarray(c, dtype=float)
-        if v is Variant.PRIVATE:
-            return np.ones_like(c)
-        if v is Variant.LINEAR_MATCH:
-            return np.full_like(c, self.cfg.scale)
-        with np.errstate(divide="ignore"):
-            if v in (Variant.QF, Variant.PM_QF):
-                r = np.sqrt(c)
-                return self.sign * (self.s_o + self.sign * r) / r
-            if v is Variant.CQF:
-                r = np.sqrt(c)
-                return self.cfg.alpha * (self.s_o + r) / r + (1.0 - self.cfg.alpha)
-            b = self.cfg.beta
-            if b == 1.0:
-                return np.ones_like(c)
-            y = c ** (1.0 / b)
-            return ((self.Y_o + y) / y) ** (b - 1.0)
+        return self.shape.funding(self.T_o + self.sign * self.shape.root(c), self.A_o + c)
 
     def u(self, c):
-        c = np.asarray(c, dtype=float)
+        if not isinstance(c, np.ndarray):
+            c = float(c)
         F = self.F(c)
-        out = self._val(F) - c - self.lam * (F - (self.A_o + c))
-        return out if c.ndim else float(out)
+        value = 0.0 if self.vf is None else self.vf.value(F)
+        return value - c - self.lam * (F - (self.A_o + c))
 
     def du(self, c):
-        c = np.asarray(c, dtype=float)
-        F = self.F(c)
+        c = float(c)
+        y = self.shape.root(c)
+        T = self.T_o + self.sign * y
+        F = self.shape.funding(T, self.A_o + c)
+        marginal = 0.0 if self.vf is None else self.vf.marginal(F)
         # inf * 0 at a sign-branch crossing (F hits 0) yields nan; that point
         # is never an optimum and the grid scan owns global correctness
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = (self._marg(F) - self.lam) * self.dF(c) - (1.0 - self.lam)
-        return out if c.ndim else float(out)
+        return (marginal - self.lam) * self.shape.slope(T, y, self.sign) - (1.0 - self.lam)
 
     def u0(self) -> float:
-        F0 = self.F0()
-        val0 = 0.0 if self.vf is None else self.vf.value(F0)
-        return val0 - self.lam * (F0 - self.A_o)
+        return self.u(0.0)
 
 
 # The bounded search multiplies three contribution differences together, so
@@ -330,14 +284,14 @@ def _maximize_branch(obj: _Objective) -> tuple[float, float]:
     bounded refinement, then a derivative polish where a first-order
     bracket exists. Raises NoSolutionError when the upper bracket passes
     _C_MAX."""
-    c_hi = max(1.0, obj.A_o, obj.s_o * obj.s_o, _family_scale(obj.vf))
+    c_hi = max(1.0, obj.A_o, obj.T_o * obj.T_o, _family_scale(obj.vf))
     sshaped = obj.vf is not None and obj.vf.family is Family.SSHAPED
     for _ in range(200):
         if c_hi > _C_MAX:
             raise NoSolutionError(
                 f"no best response below {_C_MAX:g}: others hold {obj.A_o:g}")
         decreasing = obj.du(c_hi) < 0 and obj.u(c_hi) <= obj.u(0.5 * c_hi)
-        past_hump = not sshaped or float(obj.F(c_hi)) >= obj.vf.m
+        past_hump = not sshaped or obj.F(c_hi) >= obj.vf.m
         if decreasing and past_hump:
             break
         c_hi *= 2.0
@@ -365,42 +319,36 @@ def _maximize_branch(obj: _Objective) -> tuple[float, float]:
     return c_star, obj.u(c_star)
 
 
-def _first_order_response(vf, config, s_o, A_o, Y_o) -> float:
+def _first_order_response(vf, shape, T_o, A_o) -> float:
     """Best contribution of a member whose utility V(F(c)) - c is concave
     in c: 0 where du/dc(0+) <= 0, else the root of du/dc = 0.
 
     Under the linear rules the root is the target level V'(F) = 1/scale.
-    Under the other rules it is sought in y = c**(1/beta) (beta = 2 for QF
-    and CQF), where dF/dc = alpha*((Z + y)/y)**(beta - 1) + 1 - alpha and Z
-    is the others' aggregate (signed root sum, or power sum under BETA);
-    V'(F)*dF/dc falls in y and is 1 at the root. QF with SQRT values has
-    the root y = a/2 whatever the others give. Raises NoSolutionError where
-    the others or the root lie past _C_MAX, as the grid scan does.
+    Under the other rules it is sought in y = c**(1/beta), where
+    V'(F)*dF/dc falls in y and is 1 at the root; T_o is the others'
+    aggregate. QF with SQRT values has the root y = a/2 whatever the
+    others give. Raises NoSolutionError where the others or the root lie
+    past _C_MAX, as the grid scan does.
     """
-    if max(A_o, s_o * s_o) > _C_MAX:
+    if max(A_o, T_o * T_o) > _C_MAX:
         raise NoSolutionError(
             f"no best response below {_C_MAX:g}: others hold {A_o:g}")
-    v = config.variant
-    if v in (Variant.PRIVATE, Variant.LINEAR_MATCH) or (
-            v is Variant.BETA and config.beta == 1.0):
-        scale = config.scale if v is Variant.LINEAR_MATCH else 1.0
+    if shape.alpha == 0.0:
+        scale = shape.scale
         if scale * vf.marginal(scale * A_o) <= 1.0:
             return 0.0
         c = max(vf.inverse_marginal(1.0 / scale) / scale - A_o, 0.0)
-    elif v is Variant.QF and vf.family is Family.SQRT:
+    elif shape.alpha == 1.0 and shape.beta == 2.0 and vf.family is Family.SQRT:
         c = (0.5 * vf.a) ** 2
     else:
-        alpha = config.alpha if v is Variant.CQF else 1.0
-        beta = config.beta if v is Variant.BETA else 2.0
-        Z = Y_o if v is Variant.BETA else s_o
-        if Z == 0.0 and vf.marginal(0.0) <= 1.0:
+        if T_o == 0.0 and vf.marginal(0.0) <= 1.0:
             # alone, dF/dc = 1 and F(0) = 0
             return 0.0
+        beta = shape.beta
 
         def gain(y):
-            T = Z + y
-            F = alpha * T ** beta + (1.0 - alpha) * (A_o + y ** beta)
-            return vf.marginal(F) * (alpha * (T / y) ** (beta - 1.0) + 1.0 - alpha)
+            T = T_o + y
+            return vf.marginal(shape.funding(T, A_o + y ** beta)) * shape.slope(T, y)
 
         # bracketing past y_max could overflow; no best response lies there
         y_max = _C_MAX ** (1.0 / beta)
@@ -410,20 +358,18 @@ def _first_order_response(vf, config, s_o, A_o, Y_o) -> float:
     return c
 
 
-def _best_response_core(vf, lam, config, s_o, A_o, Y_o) -> BestResponseResult:
-    base = _Objective(vf, lam, config, 1, s_o, A_o, Y_o)
+def _best_response_core(vf, lam, shape, T_o, A_o) -> BestResponseResult:
+    base = _Objective(vf, lam, shape, 1, T_o, A_o)
     candidates = [(0.0, 1, base.u0())]
-    if (lam == 0.0 and vf is not None and vf.concave
-            and config.variant not in (Variant.PM_QF, Variant.ONE_P_ONE_V)):
+    if lam == 0.0 and vf is not None and vf.concave and not shape.signed:
         # F is concave in c under these rules, so u is too and the
         # first-order root is the global maximiser
-        c_star = _first_order_response(vf, config, s_o, A_o, Y_o)
+        c_star = _first_order_response(vf, shape, T_o, A_o)
         if c_star > 0.0:
             candidates.append((c_star, 1, base.u(c_star)))
     else:
-        signs = (1, -1) if config.variant is Variant.PM_QF else (1,)
-        for sign in signs:
-            obj = _Objective(vf, lam, config, sign, s_o, A_o, Y_o)
+        for sign in (1, -1) if shape.signed else (1,):
+            obj = _Objective(vf, lam, shape, sign, T_o, A_o)
             c_star, u_star = _maximize_branch(obj)
             if c_star > 0.0:
                 candidates.append((c_star, sign, u_star))
@@ -440,17 +386,12 @@ def _best_response_core(vf, lam, config, s_o, A_o, Y_o) -> BestResponseResult:
                               utility=utility, multi_optimum=multi)
 
 
-def _aggregates_of(others: ContributionProfile, config: MechanismConfig):
+def _aggregates_of(others: ContributionProfile, shape):
     amounts, signs = others.amounts, others.signs
-    if config.variant is not Variant.PM_QF and -1 in signs and any(
+    if not shape.signed and -1 in signs and any(
             s < 0 and a > 0 for a, s in zip(amounts, signs)):
         raise PolicyError("negative-sign entries require PM_QF")
-    s_o = _signed_root_sum(amounts, signs)
-    A_o = math.fsum(amounts)
-    Y_o = 0.0
-    if config.variant is Variant.BETA:
-        Y_o = _power_sum(amounts, 1.0 / config.beta)
-    return s_o, A_o, Y_o
+    return shape.aggregate(amounts, signs), math.fsum(amounts)
 
 
 def best_response_full(citizen: Citizen, good_id: str,
@@ -471,8 +412,9 @@ def best_response_full(citizen: Citizen, good_id: str,
     if others.get(citizen.id) is not None:
         raise ValueError(f"others profile already contains {citizen.id!r}")
     lam = citizen.lam if config.deficit_mode is DeficitMode.SHADOW_PRICES else 0.0
-    s_o, A_o, Y_o = _aggregates_of(others, config)
-    return _best_response_core(citizen.values.get(good_id), lam, config, s_o, A_o, Y_o)
+    shape = config.shape
+    T_o, A_o = _aggregates_of(others, shape)
+    return _best_response_core(citizen.values.get(good_id), lam, shape, T_o, A_o)
 
 
 def best_response(citizen: Citizen, good_id: str, others: ContributionProfile,
@@ -597,10 +539,9 @@ def _solve_good_vector(scenario, good_id, config, tolerance):
          for _, cit, _ in members])
     arrays = _FamilyArrays([(i, vf) for i, _, vf in members])
     x = np.zeros(len(members))
-    v = config.variant
-    if v in (Variant.PRIVATE, Variant.LINEAR_MATCH) or (
-            v is Variant.BETA and config.beta == 1.0):
-        scale = config.scale if v is Variant.LINEAR_MATCH else 1.0
+    shape = config.shape
+    if shape.alpha == 0.0:
+        scale = shape.scale
         targets = arrays.inverse_marginal((1.0 + lam * (scale - 1.0)) / scale)
         F = float(targets.max(initial=0.0))
         if F > 0.0:
@@ -608,8 +549,7 @@ def _solve_good_vector(scenario, good_id, config, tolerance):
             x[top] = F / scale / np.count_nonzero(top)
         return members, x, GoodDiagnostics(True, 0, 0.0, 0.0, "vector")
 
-    alpha = config.alpha if v is Variant.CQF else 1.0
-    beta = config.beta if v is Variant.BETA else 2.0
+    alpha, beta = shape.alpha, shape.beta
     shares = _shares(arrays, lam, alpha, beta)
     iterations, residual = 0, 0.0
     if shares(0.0).sum() > 1.0:
@@ -738,36 +678,37 @@ def _solve_good_scalar(scenario, good_id, config, tolerance, max_iters, damping,
                        x0=None):
     members = _scalar_members(scenario, good_id, config)
     n = len(members)
-    lam = np.array(
-        [cit.lam if config.deficit_mode is DeficitMode.SHADOW_PRICES else 0.0
-         for _, cit, _ in members])
-    is_beta = config.variant is Variant.BETA
+    lam = [cit.lam if config.deficit_mode is DeficitMode.SHADOW_PRICES else 0.0
+           for _, cit, _ in members]
+    shape = config.shape
 
     def br(x):
         amounts = np.abs(x)
-        roots = np.sqrt(amounts)
-        signed_roots = np.sign(x) * roots
-        S = signed_roots.sum()
+        roots = shape.root(amounts)
+        if shape.signed:
+            roots = np.sign(x) * roots
+        # each member's others' aggregate comes from the same roots as the
+        # whole, so it cannot fall below 0 where every root is nonnegative
+        T = roots.sum()
         A = amounts.sum()
-        Y = (amounts ** (1.0 / config.beta)).sum() if is_beta else 0.0
         out = np.empty(n)
         for j, (_, cit, vf) in enumerate(members):
-            s_o = S - signed_roots[j]
-            A_o = A - amounts[j]
-            Y_o = Y - (amounts[j] ** (1.0 / config.beta) if is_beta else 0.0)
-            r = _best_response_core(vf, lam[j], config, s_o, A_o, Y_o)
+            r = _best_response_core(vf, lam[j], shape, float(T - roots[j]),
+                                    float(A - amounts[j]))
             out[j] = r.sign * r.amount
         return out
 
     x0 = np.zeros(n) if x0 is None else x0
-    lower = -math.inf if config.variant is Variant.PM_QF else 0.0
+    lower = -math.inf if shape.signed else 0.0
     x, converged, iters, resid, d = _fixed_point(
         br, x0, tolerance, max_iters, damping, lower)
     return members, x, GoodDiagnostics(converged, iters, resid, d, "scalar")
 
 
-def _share_start(scenario, good_id, members, config):
-    """Start every citizen at her first-order share of the optimal level."""
+def _share_start(scenario, good_id, members, shape):
+    """Start every citizen at their first-order share of the optimal level:
+    y = V'(F)**(1/(beta - 1))*F**(1/beta) and c = y**beta, or c = V'(F)*F
+    under the linear rules."""
     F_star = optimal_funding(scenario, good_id)
     if F_star <= 0:
         return None
@@ -776,13 +717,11 @@ def _share_start(scenario, good_id, members, config):
         if vf is None:
             continue
         mv = max(vf.marginal(F_star), 0.0)
-        if config.variant in (Variant.QF, Variant.PM_QF, Variant.CQF):
-            x0[j] = (mv * math.sqrt(F_star)) ** 2
-        elif config.variant is Variant.BETA and config.beta > 1:
-            y = mv ** (1.0 / (config.beta - 1.0)) * F_star ** (1.0 / config.beta)
-            x0[j] = y ** config.beta
-        else:
+        if shape.alpha == 0.0:
             x0[j] = F_star * mv
+        else:
+            y = mv ** (1.0 / (shape.beta - 1.0)) * shape.root(F_star)
+            x0[j] = y ** shape.beta
     return x0
 
 
@@ -841,7 +780,7 @@ def _solve_good(scenario, good_id, config, tolerance, max_iters, damping, engine
         scenario, good_id, config, tolerance, max_iters, damping)
     alt = None
     if two_starts:
-        x0 = _share_start(scenario, good_id, members, config)
+        x0 = _share_start(scenario, good_id, members, config.shape)
         if x0 is not None:
             members2, x2, diag2 = _solve_good_scalar(
                 scenario, good_id, config, tolerance, max_iters, damping, x0=x0)

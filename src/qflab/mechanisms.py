@@ -1,16 +1,25 @@
 """Funding rules: pure maps from a good's contribution profile to its funding.
 
-Rules implemented, with F the funding level and c_i the (nonnegative)
-amounts contributed:
+Every rule is one formula with four parameters. With c_i >= 0 the amounts
+contributed and sign_i = +1 or -1 their directions,
 
-    PRIVATE        F = sum_i c_i
-    LINEAR_MATCH   F = scale * sum_i c_i,            scale >= 1
-    QF             F = (sum_i sqrt(c_i))**2
-    CQF            F = alpha*(sum_i sqrt(c_i))**2 + (1-alpha)*sum_i c_i
-    PM_QF          F = (sum_i sign_i*sqrt(c_i))**2   (signed contributions)
-    BETA           F = (sum_i c_i**(1/beta))**beta,  beta >= 1
+    F = alpha * T**beta + (1 - alpha) * scale * A,
+    T = sum_i sign_i * c_i**(1/beta),   A = sum_i c_i
 
-BETA nests PRIVATE (beta=1) and QF (beta=2); CQF at alpha=1 is QF.
+(arXiv 1809.06421). ``RuleShape(alpha, beta, scale, signed)`` holds the four
+and does the arithmetic; ``MechanismConfig.shape`` derives it:
+
+    rule           F                                 (alpha, beta, scale, signed)
+    PRIVATE        sum_i c_i                         (0, 2, 1, no)
+    LINEAR_MATCH   scale * sum_i c_i, scale >= 1     (0, 2, scale, no)
+    QF             (sum_i sqrt(c_i))**2              (1, 2, 1, no)
+    CQF            alpha*QF + (1-alpha)*PRIVATE      (alpha, 2, 1, no)
+    PM_QF          (sum_i sign_i*sqrt(c_i))**2       (1, 2, 1, yes)
+    BETA           (sum_i c_i**(1/beta))**beta       (1, beta, 1, no)
+
+The linear rules are CQF's alpha = 0 end, scaled: they read only A. BETA
+at beta = 1 is PRIVATE and takes its shape; BETA at beta = 2 and CQF at
+alpha = 1 are QF. Unsigned rules reject negative-sign contributions.
 ONE_P_ONE_V is a voting rule, not evaluable from contributions alone; its
 outcome lives in the equilibrium module and only the variant tag is kept
 here.
@@ -36,6 +45,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import repeat
+
+import numpy as np
 
 from .errors import DivergentGradientError, PolicyError
 
@@ -185,6 +196,62 @@ class ContributionProfile:
 
 
 @dataclass(frozen=True)
+class RuleShape:
+    """One funding rule as F = alpha*T**beta + (1 - alpha)*scale*A, with
+    T = sum_i sign_i*c_i**(1/beta) and A = sum_i c_i (module docstring).
+
+    Every evaluation of a rule goes through these methods: ``fund``, the
+    funding gradient, a citizen's best-response objective and both
+    equilibrium engines. They take Python floats or numpy arrays. At
+    beta = 2 a root is a square root and a power is a product; ``x**0.5``
+    and ``x**2.0`` differ from those in the last bit on some inputs. The
+    linear rules have alpha = 0 and read only A.
+    """
+
+    alpha: float
+    beta: float
+    scale: float
+    signed: bool
+
+    def root(self, c):
+        """c**(1/beta): one contribution's term in T, without its sign."""
+        if self.beta == 2.0:
+            return np.sqrt(c) if isinstance(c, np.ndarray) else math.sqrt(c)
+        return c ** (1.0 / self.beta)
+
+    def aggregate(self, amounts, signs) -> float:
+        """T over a profile's amount and sign columns, exactly rounded.
+        fsum over ``map`` keeps a long profile at C speed."""
+        if self.beta == 2.0:
+            terms = map(math.sqrt, amounts)
+        else:
+            terms = map(pow, amounts, repeat(1.0 / self.beta, len(amounts)))
+        if self.signed:
+            terms = map(operator.mul, signs, terms)
+        return math.fsum(terms)
+
+    def funding(self, T, A):
+        """F from the aggregates. A is not read when alpha = 1, and T is
+        not read when alpha = 0."""
+        if self.alpha == 0.0:
+            return self.scale * A
+        power = T * T if self.beta == 2.0 else T ** self.beta
+        if self.alpha == 1.0:
+            return power
+        return self.alpha * power + (1.0 - self.alpha) * self.scale * A
+
+    def slope(self, T, y, sign=1):
+        """dF/dc of one contribution c > 0 with root y = c**(1/beta) and the
+        given sign, at the aggregate T that includes it:
+        alpha*(sign*T/y)**(beta - 1) + (1 - alpha)*scale."""
+        if self.alpha == 0.0:
+            return self.scale
+        if self.beta == 2.0:
+            return self.alpha * sign * T / y + (1.0 - self.alpha) * self.scale
+        return self.alpha * (T / y) ** (self.beta - 1.0) + (1.0 - self.alpha) * self.scale
+
+
+@dataclass(frozen=True)
 class MechanismConfig:
     """Which funding rule is active plus its parameters and policies."""
 
@@ -203,12 +270,12 @@ class MechanismConfig:
         elif self.alpha is not None:
             raise ValueError(f"alpha only applies to CQF, not {v.value}")
         if v is Variant.LINEAR_MATCH:
-            if self.scale is None or self.scale < 1.0:
+            if self.scale is None or not self.scale >= 1.0:
                 raise ValueError(f"LINEAR_MATCH requires scale >= 1, got {self.scale!r}")
         elif self.scale is not None:
             raise ValueError(f"scale only applies to LINEAR_MATCH, not {v.value}")
         if v is Variant.BETA:
-            if self.beta is None or self.beta < 1.0:
+            if self.beta is None or not self.beta >= 1.0:
                 raise ValueError(f"BETA requires beta >= 1, got {self.beta!r}")
         elif self.beta is not None:
             raise ValueError(f"beta only applies to BETA, not {v.value}")
@@ -247,6 +314,24 @@ class MechanismConfig:
     def beta_rule(cls, beta: float, **kw) -> "MechanismConfig":
         return cls(Variant.BETA, beta=beta, **kw)
 
+    @cached_property
+    def shape(self) -> RuleShape | None:
+        """The rule's (alpha, beta, scale, signed), as tabled in the module
+        docstring; None for ONE_P_ONE_V, which no formula in the
+        contributions describes."""
+        v = self.variant
+        if v is Variant.ONE_P_ONE_V:
+            return None
+        if v is Variant.LINEAR_MATCH:
+            return RuleShape(0.0, 2.0, float(self.scale), False)
+        if v is Variant.PRIVATE or (v is Variant.BETA and self.beta == 1.0):
+            return RuleShape(0.0, 2.0, 1.0, False)
+        if v is Variant.CQF:
+            return RuleShape(float(self.alpha), 2.0, 1.0, False)
+        if v is Variant.BETA:
+            return RuleShape(1.0, float(self.beta), 1.0, False)
+        return RuleShape(1.0, 2.0, 1.0, v is Variant.PM_QF)
+
 
 @dataclass(frozen=True)
 class FundingOutcome:
@@ -271,57 +356,59 @@ def _require_positive_signs(profile: ContributionProfile, rule: str) -> None:
         )
 
 
-# The column sums below run over every entry. fsum is exactly rounded, so the
+# The aggregates below run over every entry. fsum is exactly rounded, so the
 # zero-amount entries (which contribute exact zeros) leave each sum
 # bit-identical to one over the nonzero entries only; it also keeps the
 # equal-contribution scaling identities exact (N equal entries of x fund
 # exactly N**2 * x under QF).
 
 
-def _root_sum(amounts) -> float:
-    return math.fsum(map(math.sqrt, amounts))
-
-
-def _signed_root_sum(amounts, signs) -> float:
-    return math.fsum(map(operator.mul, signs, map(math.sqrt, amounts)))
-
-
-def _power_sum(amounts, exponent: float) -> float:
-    return math.fsum(map(pow, amounts, repeat(exponent, len(amounts))))
-
-
 def _lone_amount(amounts) -> float | None:
     """The only nonzero amount, or None when there are 0 or at least 2.
 
-    Every rule funds a lone contributor at exactly their amount, which the
-    square of a square root would not reproduce in floats."""
+    Every rule but the linear ones funds a lone contributor at exactly
+    their amount, which the square of a square root would not reproduce in
+    floats."""
     if len(amounts) - amounts.count(0.0) == 1:
         return max(amounts)
     return None
 
 
+def _fund(profile: ContributionProfile, shape: RuleShape, rule: str) -> float:
+    if not shape.signed:
+        _require_positive_signs(profile, rule)
+    amounts = profile.amounts
+    lone = _lone_amount(amounts) if shape.alpha else None
+    if lone is not None:
+        return lone
+    T = shape.aggregate(amounts, profile.signs) if shape.alpha else 0.0
+    A = math.fsum(amounts) if shape.alpha < 1.0 else 0.0
+    return shape.funding(T, A)
+
+
+def fund(profile: ContributionProfile, config: MechanismConfig) -> float:
+    """Evaluate the configured rule on one good's profile."""
+    if config.shape is None:
+        raise PolicyError(
+            "ONE_P_ONE_V funding is a voting outcome, not a function of "
+            "contributions; use equilibrium.one_p_one_v_outcome"
+        )
+    return _fund(profile, config.shape, config.variant.value)
+
+
 def fund_private(profile: ContributionProfile) -> float:
     """Sum of contributions: no matching, no taxes."""
-    _require_positive_signs(profile, "PRIVATE")
-    return math.fsum(profile.amounts)
+    return fund(profile, MechanismConfig.private())
 
 
 def fund_linear_match(profile: ContributionProfile, scale: float) -> float:
     """Contributions scaled by a fixed match ratio >= 1."""
-    if not (scale >= 1.0):
-        raise ValueError(f"scale must be >= 1, got {scale!r}")
-    _require_positive_signs(profile, "LINEAR_MATCH")
-    return scale * math.fsum(profile.amounts)
+    return fund(profile, MechanismConfig.linear_match(scale))
 
 
 def fund_qf(profile: ContributionProfile) -> float:
     """Square of the sum of square roots of the contributions."""
-    _require_positive_signs(profile, "QF")
-    lone = _lone_amount(profile.amounts)
-    if lone is not None:
-        return lone
-    s = _root_sum(profile.amounts)
-    return s * s
+    return fund(profile, MechanismConfig.qf())
 
 
 def fund_cqf(profile: ContributionProfile, alpha: float) -> float:
@@ -333,26 +420,16 @@ def fund_cqf(profile: ContributionProfile, alpha: float) -> float:
     """
     if not (0.0 <= alpha <= 1.0):
         raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
-    _require_positive_signs(profile, "CQF")
-    lone = _lone_amount(profile.amounts)
-    if lone is not None:
-        return lone  # alpha*c + (1-alpha)*c, exactly
-    s = _root_sum(profile.amounts)
-    return alpha * (s * s) + (1.0 - alpha) * math.fsum(profile.amounts)
+    return _fund(profile, RuleShape(float(alpha), 2.0, 1.0, False), "CQF")
 
 
 def fund_pm_qf(profile: ContributionProfile) -> float:
     """Signed variant of QF: citizens may pay to reduce funding.
 
-    Requires a config with allow_negative=True when driven through
-    ``fund``. The result is a square, hence never negative, but it can be
-    smaller than the money paid in.
+    The result is a square, hence never negative, but it can be smaller
+    than the money paid in.
     """
-    lone = _lone_amount(profile.amounts)
-    if lone is not None:
-        return lone  # a lone signed entry still squares back
-    s = _signed_root_sum(profile.amounts, profile.signs)
-    return s * s
+    return fund(profile, MechanismConfig.pm_qf())
 
 
 def fund_beta(profile: ContributionProfile, beta: float) -> float:
@@ -360,34 +437,7 @@ def fund_beta(profile: ContributionProfile, beta: float) -> float:
 
     beta=1 reproduces PRIVATE and beta=2 reproduces QF.
     """
-    if not (beta >= 1.0):
-        raise ValueError(f"beta must be >= 1, got {beta!r}")
-    _require_positive_signs(profile, "BETA")
-    lone = _lone_amount(profile.amounts)
-    if lone is not None:
-        return lone  # (c**(1/beta))**beta, exactly
-    return _power_sum(profile.amounts, 1.0 / beta) ** beta
-
-
-def fund(profile: ContributionProfile, config: MechanismConfig) -> float:
-    """Evaluate the configured rule on one good's profile."""
-    v = config.variant
-    if v is Variant.PRIVATE:
-        return fund_private(profile)
-    if v is Variant.LINEAR_MATCH:
-        return fund_linear_match(profile, config.scale)
-    if v is Variant.QF:
-        return fund_qf(profile)
-    if v is Variant.CQF:
-        return fund_cqf(profile, config.alpha)
-    if v is Variant.PM_QF:
-        return fund_pm_qf(profile)
-    if v is Variant.BETA:
-        return fund_beta(profile, config.beta)
-    raise PolicyError(
-        "ONE_P_ONE_V funding is a voting outcome, not a function of "
-        "contributions; use equilibrium.one_p_one_v_outcome"
-    )
+    return fund(profile, MechanismConfig.beta_rule(beta))
 
 
 def funding_gradient(profile: ContributionProfile, config: MechanismConfig,
@@ -400,32 +450,15 @@ def funding_gradient(profile: ContributionProfile, config: MechanismConfig,
     own = profile.get(citizen_id)
     if own is None:
         raise ValueError(f"citizen {citizen_id!r} has no entry on good {profile.good_id!r}")
-    v = config.variant
-    if v is Variant.PRIVATE:
-        return 1.0
-    if v is Variant.LINEAR_MATCH:
-        return float(config.scale)
-    if v is Variant.ONE_P_ONE_V:
+    shape = config.shape
+    if shape is None:
         raise PolicyError("ONE_P_ONE_V has no contribution gradient")
-    if v is Variant.BETA and config.beta == 1.0:
-        return 1.0
-    if own.amount == 0.0:
+    if shape.alpha and own.amount == 0.0:
         raise DivergentGradientError(
-            f"dF/dc diverges at zero contribution under {v.value}"
+            f"dF/dc diverges at zero contribution under {config.variant.value}"
         )
-    amounts = profile.amounts
-    if v is Variant.QF:
-        return _root_sum(amounts) / math.sqrt(own.amount)
-    if v is Variant.CQF:
-        a = config.alpha
-        return a * _root_sum(amounts) / math.sqrt(own.amount) + (1.0 - a)
-    if v is Variant.PM_QF:
-        signed = _signed_root_sum(amounts, profile.signs)
-        return own.sign * signed / math.sqrt(own.amount)
-    # BETA, beta > 1
-    b = config.beta
-    y = _power_sum(amounts, 1.0 / b)
-    return y ** (b - 1.0) / own.amount ** ((b - 1.0) / b)
+    return shape.slope(shape.aggregate(profile.amounts, profile.signs),
+                       shape.root(own.amount), own.sign)
 
 
 def evaluate_outcome(profiles, config: MechanismConfig, n_citizens: int) -> FundingOutcome:

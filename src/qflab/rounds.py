@@ -31,6 +31,7 @@ from enum import Enum
 from .mechanisms import ContributionProfile, MechanismConfig, fund
 from .preferences import Citizen
 from .equilibrium import Scenario, best_response_full
+from .scenario_io import _csv_field
 
 
 class EventKind(str, Enum):
@@ -314,12 +315,13 @@ def ledger_to_csv(ledger: RoundLedger) -> str:
     buf = io.StringIO()
     buf.write("tick,citizen_id,good_id,kind,amount\n")
     for e in ledger.events:
-        buf.write(f"{e.time},{e.citizen_id},{e.good_id},{e.kind.value},{e.amount!r}\n")
+        buf.write(f"{e.time},{_csv_field(e.citizen_id)},{_csv_field(e.good_id)},"
+                  f"{e.kind.value},{e.amount!r}\n")
     if ledger.settlement is not None:
         buf.write("# settlement\n")
         buf.write("good_id,status,funding,refund_total\n")
         for g, s in sorted(ledger.settlement.items()):
-            buf.write(f"{g},{s.status.value},{s.funding!r},{s.refund_total!r}\n")
+            buf.write(f"{_csv_field(g)},{s.status.value},{s.funding!r},{s.refund_total!r}\n")
     return buf.getvalue()
 
 

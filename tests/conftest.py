@@ -123,9 +123,9 @@ def oracle_best_response(citizen, good, others, config, c_max):
 # the grid route, to compare the first-order route against
 
 
-def grid_route(vf, config, s_o, A_o, Y_o):
+def grid_route(vf, shape, T_o, A_o):
     """The grid scan's positive-branch maximiser, shaped as
     ``equilibrium._first_order_response``: patched in, it sends first-order
     members through the grid scan and the same candidate and tie logic."""
-    obj = equilibrium._Objective(vf, 0.0, config, 1, s_o, A_o, Y_o)
+    obj = equilibrium._Objective(vf, 0.0, shape, 1, T_o, A_o)
     return equilibrium._maximize_branch(obj)[0]

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -36,6 +38,24 @@ class TestFund:
         assert main(["fund", path, "--variant", "PM_QF", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["funding"]["g"] == 4.0
+
+    def test_csv_quotes_good_ids(self, tmp_path, capsys):
+        path = write(tmp_path, "c.csv", 'citizen_id,good_id,amount\na,"x,y",1\nb,"x,y",4\n')
+        assert main(["fund", path, "--variant", "QF", "--format", "csv"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows[1:3] == [["good_id", "funding", "contributed"], ["x,y", "9", "5"]]
+
+    @pytest.mark.parametrize("flag", ["--damping", "--tolerance", "--max-iters"])
+    def test_solver_flags_are_not_accepted(self, tmp_path, capsys, flag):
+        # fund, attack and round solve nothing, so they take no solver flags
+        path = write(tmp_path, "c.csv", CONTRIB)
+        assert main(["fund", path, "--variant", "QF", flag, "1"]) == 2
+        assert flag in capsys.readouterr().err
+        assert main(["attack", "--fraud", "--alpha", "0.5", "--k", "3",
+                     flag, "1"]) == 2
+        round_path = write(tmp_path, "s.json", ROUND_SCENARIO)
+        assert main(["round", round_path, flag, "1"]) == 2
+        capsys.readouterr()
 
     def test_missing_column_exit_2(self, tmp_path, capsys):
         path = write(tmp_path, "c.csv", "citizen_id,good_id\na,g\n")
@@ -141,6 +161,39 @@ class TestEquilibrium:
         assert float(got["marginal_value"]) == eq["goods"][0]["marginal_value"]
 
 
+    def test_beta_scenario_with_an_sshaped_member_exits_0(self, tmp_path, capsys):
+        # the scalar engine's BETA aggregates once went 1 ulp negative here
+        # and the solve raised IndexError
+        params = [("LOG", {"a": 4.777086633466709}),
+                  ("ISOELASTIC", {"a": 4.768922512117597, "rho": 0.3870988712062913}),
+                  ("LOG", {"a": 2.341396113661226}),
+                  ("SSHAPED", {"a": 23.837827716870166, "k": 0.6305146505754227,
+                               "m": 16.540610077468227}),
+                  ("SQRT", {"a": 2.5407405026629317})]
+        scenario = {
+            "mechanism": {"variant": "BETA", "beta": 1.5},
+            "goods": ["g"],
+            "citizens": [{"id": f"c{i}", "values": {"g": {"family": f, "params": p}}}
+                         for i, (f, p) in enumerate(params)],
+        }
+        path = write(tmp_path, "s.json", scenario)
+        assert main(["equilibrium", path, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["diagnostics"]["converged"] is True
+
+    def test_csv_quotes_good_ids(self, tmp_path, capsys):
+        scenario = json.loads(json.dumps(SCENARIO_QF))
+        scenario["goods"] = ["x,y"]
+        for c in scenario["citizens"]:
+            c["values"] = {"x,y": c["values"]["g"]}
+        path = write(tmp_path, "s.json", scenario)
+        assert main(["equilibrium", path, "--format", "csv"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        header = rows.index(["good_id", "funding", "optimal", "marginal_value",
+                             "net_welfare"])
+        assert rows[header + 1][0] == "x,y"
+        assert len(rows[header + 1]) == 5
+
+
 class TestSweep:
     def test_alpha_sweep_marginal_tracks_inverse_alpha(self, tmp_path, capsys):
         n = 2000
@@ -203,6 +256,18 @@ class TestSweep:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 3
         assert lines[2].split(",")[-1] != ""  # alpha=7 records an error
+
+    def test_funding_headers_quote_good_ids(self, tmp_path, capsys):
+        scenario = json.loads(json.dumps(SCENARIO_QF))
+        scenario["goods"] = ["x,y"]
+        for c in scenario["citizens"]:
+            c["values"] = {"x,y": c["values"]["g"]}
+        path = write(tmp_path, "s.json", scenario)
+        assert main(["sweep", path, "--param", "alpha", "--grid", "0.5,1"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows[0] == ["param", "value", "funding[x,y]", "marginal_value[x,y]",
+                           "deficit", "welfare_total", "error"]
+        assert all(len(r) == len(rows[0]) for r in rows)
 
     def test_bad_grid_exit_2(self, tmp_path, capsys):
         path = write(tmp_path, "s.json", SCENARIO_QF)
@@ -305,3 +370,23 @@ class TestRound:
         assert main(["round", path, "--out", out2]) == 0
         capsys.readouterr()
         assert (tmp_path / "l1.csv").read_bytes() == (tmp_path / "l2.csv").read_bytes()
+
+    def test_ledger_quotes_ids(self, tmp_path, capsys):
+        data = json.loads(json.dumps(ROUND_SCENARIO))
+        for c in data["citizens"]:
+            c["id"] = c["id"] + ",x"
+            c["values"] = {"g,1": c["values"]["g"]}
+        data["goods"] = ["g,1"]
+        data["round"]["assurance"] = {"g,1": 30}
+        data["round"]["agents"] = {f"{cid},x": {"policy": "threshold_pledger",
+                                                "shares": {"g,1": 1.6}}
+                                   for cid in data["round"]["agents"]}
+        path = write(tmp_path, "s.json", data)
+        ledger_path = tmp_path / "ledger.csv"
+        assert main(["round", path, "--out", str(ledger_path)]) == 0
+        capsys.readouterr()
+        rows = list(csv.reader(io.StringIO(ledger_path.read_text())))
+        events = rows[1:rows.index(["# settlement"])]
+        assert events and all(len(r) == 5 and r[1].endswith(",x") and r[2] == "g,1"
+                              for r in events)
+        assert rows[-1][0] == "g,1" and len(rows[-1]) == 4

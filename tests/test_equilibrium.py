@@ -22,6 +22,7 @@ from qflab import (
 from conftest import (
     grid_route,
     oracle_best_response,
+    oracle_funding,
     oracle_value,
     random_concave_citizens,
     sqrt_scenario,
@@ -539,6 +540,30 @@ class TestScalarIteration:
         assert math.isfinite(r.residual) and r.residual > 0
 
 
+    def test_beta_others_aggregate_never_negative(self):
+        # each member's others' aggregate is taken from the same roots as
+        # the whole; a power computed apart once left it 1 ulp below 0 and
+        # the best response NaN, so no candidate survived
+        vfs = [ValueFunction.log(4.777086633466709),
+               ValueFunction.isoelastic(4.768922512117597, 0.3870988712062913),
+               ValueFunction.log(2.341396113661226),
+               ValueFunction.sshaped(23.837827716870166, 0.6305146505754227,
+                                     16.540610077468227),
+               ValueFunction.sqrt(2.5407405026629317)]
+        cits = [Citizen(f"c{i}", {"g": vf}) for i, vf in enumerate(vfs)]
+        cfg = MechanismConfig.beta_rule(1.5)
+        r = solve_equilibrium(Scenario(cits, ["g"], cfg))
+        assert r.converged and r.diagnostics["g"].engine == "scalar"
+        p = r.contributions["g"]
+        for cit in cits:
+            others = ContributionProfile.from_columns(
+                "g", *zip(*[(cid, a) for cid, a in zip(p.citizen_ids, p.amounts)
+                            if cid != cit.id]))
+            own = p.get(cit.id)
+            assert best_response(cit, "g", others, cfg) == pytest.approx(
+                0.0 if own is None else own.amount, rel=1e-6, abs=1e-8)
+
+
 class TestSShapedEquilibria:
     def scenario(self):
         cits = [Citizen(f"c{i}", {"g": ValueFunction.sshaped(20.0, 0.5, 30.0)})
@@ -621,3 +646,66 @@ class TestOnePersonOneVote:
                 Citizen("b", {}), Citizen("c", {})]
         sc = Scenario(cits, ["g"], MechanismConfig.one_p_one_v())
         assert one_p_one_v_outcome(sc, "g") == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the best-response objective
+
+
+class TestObjective:
+    """``_Objective`` on Python floats, against the retyped oracles."""
+
+    RULES = {
+        "PRIVATE": MechanismConfig.private(),
+        "LINEAR_MATCH2.5": MechanismConfig.linear_match(2.5),
+        "QF": MechanismConfig.qf(),
+        "CQF0.3": MechanismConfig.cqf(0.3),
+        "PM_QF": MechanismConfig.pm_qf(),
+        "BETA1": MechanismConfig.beta_rule(1.0),
+        "BETA1.7": MechanismConfig.beta_rule(1.7),
+        "BETA2": MechanismConfig.beta_rule(2.0),
+    }
+    FAMILIES = {
+        "SQRT": ValueFunction.sqrt(2.3),
+        "LOG": ValueFunction.log(3.1),
+        "ISOELASTIC": ValueFunction.isoelastic(2.2, 0.4),
+        "SSHAPED": ValueFunction.sshaped(20.0, 0.5, 30.0),
+        "outsider": None,
+    }
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    @pytest.mark.parametrize("rule", list(RULES))
+    def test_utility_and_slope(self, rule, family, lam):
+        cfg, vf = self.RULES[rule], self.FAMILIES[family]
+        signed = cfg.variant.value == "PM_QF"
+        amounts, signs = [2.0, 5.0, 0.5], [1, -1, 1] if signed else [1, 1, 1]
+        others = ContributionProfile.from_columns("g", ["a", "b", "c"], amounts, signs)
+        T_o, A_o = eq._aggregates_of(others, cfg.shape)
+        s_o = math.fsum(s * math.sqrt(c) for c, s in zip(amounts, signs))
+        Y_o = math.fsum(c ** (1.0 / cfg.beta) for c in amounts) if cfg.beta else 0.0
+
+        def want(c, sign):
+            F = float(oracle_funding(cfg, s_o, A_o, Y_o, c, sign))
+            return float(oracle_value(vf, F)) - c - lam * (F - (A_o + c))
+
+        def rounding_scale(c, sign):
+            # the largest term of u, or how far one part in 1e15 of F moves V
+            F = float(oracle_funding(cfg, s_o, A_o, Y_o, c, sign))
+            moved = 0.0 if vf is None else abs(F * vf.marginal(F))
+            return max(1.0, abs(float(oracle_value(vf, F))), c, lam * F, moved)
+
+        for sign in (1, -1) if signed else (1,):
+            obj = eq._Objective(vf, lam, cfg.shape, sign, T_o, A_o)
+            assert obj.u0() == pytest.approx(want(0.0, sign), rel=1e-12, abs=1e-12)
+            for c in (0.3, 4.0, 17.0):
+                u = obj.u(c)
+                assert type(u) is float
+                assert u == pytest.approx(want(c, sign), rel=1e-12, abs=1e-12)
+                # numpy's array powers may differ from Python's in the last
+                # bit, so the two paths agree to the rounding of F and of u
+                assert abs(u - float(obj.u(np.array([c]))[0])) \
+                    <= 1e-15 * rounding_scale(c, sign)
+                h = 1e-5 * c
+                fd = (obj.u(c + h) - obj.u(c - h)) / (2.0 * h)
+                assert obj.du(c) == pytest.approx(fd, rel=1e-6, abs=1e-7)
