@@ -375,15 +375,17 @@ def _lone_amount(amounts) -> float | None:
 
 
 def _fund(profile: ContributionProfile, shape: RuleShape, rule: str) -> float:
+    """``fund`` under a shape; ``rule`` names it in a sign error."""
     if not shape.signed:
         _require_positive_signs(profile, rule)
     amounts = profile.amounts
-    lone = _lone_amount(amounts) if shape.alpha else None
+    if not shape.alpha:
+        return shape.funding(0.0, math.fsum(amounts))
+    lone = _lone_amount(amounts)
     if lone is not None:
         return lone
-    T = shape.aggregate(amounts, profile.signs) if shape.alpha else 0.0
     A = math.fsum(amounts) if shape.alpha < 1.0 else 0.0
-    return shape.funding(T, A)
+    return shape.funding(shape.aggregate(amounts, profile.signs), A)
 
 
 def fund(profile: ContributionProfile, config: MechanismConfig) -> float:

@@ -539,7 +539,6 @@ class TestScalarIteration:
         assert d.damping == pytest.approx(0.5 / 8)
         assert math.isfinite(r.residual) and r.residual > 0
 
-
     def test_beta_others_aggregate_never_negative(self):
         # each member's others' aggregate is taken from the same roots as
         # the whole; a power computed apart once left it 1 ulp below 0 and
@@ -556,9 +555,9 @@ class TestScalarIteration:
         assert r.converged and r.diagnostics["g"].engine == "scalar"
         p = r.contributions["g"]
         for cit in cits:
+            rest = [(cid, a) for cid, a in zip(p.citizen_ids, p.amounts) if cid != cit.id]
             others = ContributionProfile.from_columns(
-                "g", *zip(*[(cid, a) for cid, a in zip(p.citizen_ids, p.amounts)
-                            if cid != cit.id]))
+                "g", [cid for cid, _ in rest], [a for _, a in rest])
             own = p.get(cit.id)
             assert best_response(cit, "g", others, cfg) == pytest.approx(
                 0.0 if own is None else own.amount, rel=1e-6, abs=1e-8)
