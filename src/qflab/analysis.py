@@ -131,8 +131,8 @@ def solve_alpha_for_budget(scenario: Scenario, budget: float,
     alpha does (the deficit vanishes only in the alpha -> 0 limit).
     ``solver_kwargs`` pass through to ``solve_equilibrium``.
     """
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
+    if not budget >= 0:
+        raise ValueError(f"budget must be nonnegative, got {budget!r}")
     if scenario.mechanism.variant is not Variant.CQF:
         raise ValueError("budget calibration applies to the CQF variant")
 
@@ -216,8 +216,8 @@ def fraud_arbitrage(alpha: float, identities: int, per_identity: float,
     """
     if identities < 1:
         raise ValueError("identities must be at least 1")
-    if per_identity <= 0:
-        raise ValueError("per_identity must be positive")
+    if not 0 < per_identity < math.inf:
+        raise ValueError(f"per_identity must be a positive finite real, got {per_identity!r}")
     if not (0.0 < alpha <= 1.0):
         raise ValueError("alpha must lie in (0, 1]")
     k, x = identities, per_identity
@@ -243,8 +243,8 @@ def cartel_defection(alpha: float, members: int, contribution: float,
     """
     if members < 2:
         raise ValueError("a cartel needs at least 2 members")
-    if contribution <= 0:
-        raise ValueError("contribution must be positive")
+    if not 0 < contribution < math.inf:
+        raise ValueError(f"contribution must be a positive finite real, got {contribution!r}")
     if not (0.0 < alpha <= 1.0):
         raise ValueError("alpha must lie in (0, 1]")
     n, c = members, contribution
@@ -268,8 +268,8 @@ def cartel_defection(alpha: float, members: int, contribution: float,
 def jensen_direction(beta: float) -> JensenDirection:
     """Funding bias of the power-family rule relative to the optimum:
     beta below 2 underfunds, 2 is exact, above 2 overfunds."""
-    if beta < 1.0:
-        raise ValueError("beta must be >= 1")
+    if not beta >= 1.0:
+        raise ValueError(f"beta must be >= 1, got {beta!r}")
     if abs(beta - 2.0) < 1e-12:
         return JensenDirection.EXACT
     return JensenDirection.UNDER if beta < 2.0 else JensenDirection.OVER

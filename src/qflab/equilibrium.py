@@ -40,6 +40,10 @@ agents all share it):
   PM_QF's two sign branches, shadow prices): a grid scan over a geometric
   lattice, bounded refinement, then a derivative polish.
 
+Every 1-D root (``_unit_root``, the polish) is Brent's root finder and
+every bounded refinement (the grid route, ``_global_welfare_argmax``) is
+Brent's bounded minimiser, both on Python floats (``qflab._brent``).
+
 Non-convergence is reported as a diagnostic result, never an exception.
 """
 
@@ -49,8 +53,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
+from ._brent import brentq, fminbound
 from .errors import NoSolutionError, PolicyError
 from .mechanisms import (
     ContributionProfile,
@@ -85,8 +89,8 @@ class Scenario:
             if missing:
                 raise ValueError(
                     f"citizen {c.id!r} values unknown goods: {sorted(missing)}")
-        if self.budget is not None and self.budget < 0:
-            raise ValueError("budget must be nonnegative")
+        if self.budget is not None and not self.budget >= 0:
+            raise ValueError(f"budget must be nonnegative, got {self.budget!r}")
 
     @property
     def aggregate_lambda(self) -> float:
@@ -132,6 +136,20 @@ def _valuing(scenario: Scenario, good_id: str):
     return [(c, c.values[good_id]) for c in scenario.citizens if good_id in c.values]
 
 
+def _geomspace(lo: float, hi: float, num: int) -> np.ndarray:
+    """``np.geomspace(lo, hi, num)`` for 0 < lo < hi, with its bits: powers
+    of ten evenly spaced in the exponent, as its ``linspace`` spaces them,
+    with the ends set to lo and hi. It skips the sign, dtype and array
+    handling that costs the numpy function most of its time."""
+    log_lo, log_hi = np.log10(lo), np.log10(hi)
+    y = np.arange(num, dtype=float)
+    y *= (log_hi - log_lo) / (num - 1)
+    y += log_lo
+    out = np.power(10.0, y)
+    out[0], out[-1] = lo, hi
+    return out
+
+
 def _global_welfare_argmax(vfs: list[ValueFunction], cost: float) -> float:
     """Global argmax of sum_i V_i(F) - cost*F over F >= 0, by grid scan plus
     bounded refinement. Handles non-concave (S-shaped) and decreasing values."""
@@ -150,7 +168,7 @@ def _global_welfare_argmax(vfs: list[ValueFunction], cost: float) -> float:
         F_hi *= 2.0
     grid = np.unique(np.concatenate([
         [0.0],
-        np.geomspace(1e-9 * max(F_hi, 1.0), F_hi, 3000),
+        _geomspace(1e-9 * max(F_hi, 1.0), F_hi, 3000),
         np.linspace(0.0, F_hi, 3000),
     ]))
     W = -cost * grid
@@ -160,13 +178,11 @@ def _global_welfare_argmax(vfs: list[ValueFunction], cost: float) -> float:
     best_F, best_W = float(grid[i]), float(W[i])
     if 0 < i < grid.size - 1:
         lo, hi = float(grid[i - 1]), float(grid[i + 1])
-        res = minimize_scalar(
+        F, neg_W = fminbound(
             lambda F: -(math.fsum(vf.value(F) for vf in vfs) - cost * F),
-            bounds=(lo, hi), method="bounded",
-            options={"xatol": 1e-12 * max(1.0, hi)},
-        )
-        if -res.fun > best_W:
-            best_F, best_W = float(res.x), float(-res.fun)
+            lo, hi, 1e-12 * max(1.0, hi))
+        if -neg_W > best_W:
+            best_F, best_W = F, -neg_W
     if best_W <= 0.0:
         return 0.0
     return best_F
@@ -295,21 +311,18 @@ def _maximize_branch(obj: _Objective) -> tuple[float, float]:
         if decreasing and past_hump:
             break
         c_hi *= 2.0
-    grid = np.geomspace(1e-9, c_hi, 256)
+    grid = _geomspace(1e-9, c_hi, 256)
     ug = obj.u(grid)
     i = int(np.argmax(ug))
-    lo = grid[i - 1] if i > 0 else 0.5 * grid[0]
-    hi = grid[i + 1] if i + 1 < grid.size else c_hi
-    res = minimize_scalar(lambda c: -obj.u(c), bounds=(float(lo), float(hi)),
-                          method="bounded", options={"xatol": 1e-13 * max(1.0, hi)})
-    c_star = float(res.x)
+    lo = float(grid[i - 1]) if i > 0 else 0.5 * float(grid[0])
+    hi = float(grid[i + 1]) if i + 1 < grid.size else c_hi
+    c_star = fminbound(lambda c: -obj.u(c), lo, hi, 1e-13 * max(1.0, hi))[0]
     for w in (1e-3, 1e-2, 1e-1):
         a2 = max(c_star * (1.0 - w), 1e-14)
         b2 = c_star * (1.0 + w)
         if obj.du(a2) > 0.0 > obj.du(b2):
             try:
-                c_star = float(brentq(obj.du, a2, b2,
-                                      xtol=1e-15 * max(1.0, c_star), rtol=8.9e-16))
+                c_star = brentq(obj.du, a2, b2, 1e-15 * max(1.0, c_star), 8.9e-16)[0]
             except ValueError:
                 # du is NaN at a sign-branch crossing (F = 0) inside the
                 # bracket; that kink has no root to polish, the bounded
@@ -515,9 +528,7 @@ def _unit_root(g) -> tuple[float, int]:
         lo, hi = hi, 2.0 * hi
     while g(lo) <= 1.0 and lo > 1e-200:
         lo, hi = lo / 16.0, lo
-    F, info = brentq(lambda F: g(F) - 1.0, lo, hi, xtol=1e-300, rtol=8.9e-16,
-                     full_output=True, disp=False)
-    return float(F), info.iterations
+    return brentq(lambda F: g(F) - 1.0, lo, hi, 1e-300, 8.9e-16)
 
 
 def _solve_good_vector(scenario, good_id, config, tolerance):
@@ -839,6 +850,10 @@ def solve_equilibrium(scenario: Scenario, tolerance: float = 1e-8,
         raise ValueError(f"engine must be auto|vector|scalar, got {engine!r}")
     if not (0.0 < damping <= 1.0):
         raise ValueError("damping must lie in (0, 1]")
+    if not 0.0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be a positive finite real, got {tolerance!r}")
+    if not max_iters >= 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters!r}")
     config = scenario.mechanism
     profiles: dict[str, ContributionProfile] = {}
     funding: dict[str, float] = {}

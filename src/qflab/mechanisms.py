@@ -270,13 +270,13 @@ class MechanismConfig:
         elif self.alpha is not None:
             raise ValueError(f"alpha only applies to CQF, not {v.value}")
         if v is Variant.LINEAR_MATCH:
-            if self.scale is None or not self.scale >= 1.0:
-                raise ValueError(f"LINEAR_MATCH requires scale >= 1, got {self.scale!r}")
+            if self.scale is None or not 1.0 <= self.scale < math.inf:
+                raise ValueError(f"LINEAR_MATCH requires a finite scale >= 1, got {self.scale!r}")
         elif self.scale is not None:
             raise ValueError(f"scale only applies to LINEAR_MATCH, not {v.value}")
         if v is Variant.BETA:
-            if self.beta is None or not self.beta >= 1.0:
-                raise ValueError(f"BETA requires beta >= 1, got {self.beta!r}")
+            if self.beta is None or not 1.0 <= self.beta < math.inf:
+                raise ValueError(f"BETA requires a finite beta >= 1, got {self.beta!r}")
         elif self.beta is not None:
             raise ValueError(f"beta only applies to BETA, not {v.value}")
         if v is Variant.PM_QF:

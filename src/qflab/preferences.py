@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import NoSolutionError
 
@@ -56,11 +55,23 @@ def _as_float_array(F):
 
 
 def _expit(x: float) -> float:
-    """scipy's ``expit`` on one float, bit for bit. Below -709 math.exp(-x)
-    would overflow, so those arguments go to ``expit`` itself."""
+    """The logistic 1/(1 + exp(-x)) on one float, with ``math.exp``; above
+    -709 this is SciPy's ``expit`` bit for bit. At -709 and below exp(-x)
+    would overflow, so there it is e/(1 + e) with e = exp(x)."""
     if x > -709.0:
         return 1.0 / (1.0 + math.exp(-x))
-    return float(expit(x))
+    e = math.exp(x)
+    return e / (1.0 + e)
+
+
+def _expit_array(x) -> np.ndarray:
+    """``_expit`` on each element, with its bits: each exponential comes
+    from ``math.exp`` (numpy's vectorised exp differs in the last bit), and
+    the sums and quotients, which IEEE rounds alike, from numpy."""
+    high = x > -709.0
+    arg = np.where(high, -x, x)
+    e = np.fromiter(map(math.exp, arg.ravel().tolist()), float, arg.size).reshape(arg.shape)
+    return np.where(high, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass(frozen=True)
@@ -82,8 +93,9 @@ class ValueFunction:
         if self.family is Family.SSHAPED:
             if self.a < 0:
                 raise ValueError("SSHAPED requires a > 0")
-            if self.k is None or self.k <= 0 or self.m is None or self.m <= 0:
-                raise ValueError("SSHAPED requires k > 0 and m > 0")
+            if not (self.k is not None and 0 < self.k < math.inf
+                    and self.m is not None and 0 < self.m < math.inf):
+                raise ValueError("SSHAPED requires finite k > 0 and m > 0")
         elif self.k is not None or self.m is not None:
             raise ValueError("k and m only apply to SSHAPED")
 
@@ -134,7 +146,7 @@ class ValueFunction:
         elif fam is _ISOELASTIC:
             out = self.a * arr**self.rho
         else:
-            out = self.a * (expit(self.k * (arr - self.m)) - expit(-self.k * self.m))
+            out = self.a * (_expit_array(self.k * (arr - self.m)) - _expit(-self.k * self.m))
         return out if arr.ndim else float(out)
 
     def marginal(self, F):
@@ -171,7 +183,7 @@ class ValueFunction:
                                self.a * self.rho * np.maximum(arr, 1e-300) ** (self.rho - 1.0),
                                math.copysign(math.inf, self.a))
             else:
-                sig = expit(self.k * (arr - self.m))
+                sig = _expit_array(self.k * (arr - self.m))
                 out = self.a * self.k * sig * (1.0 - sig)
         return out if arr.ndim else float(out)
 

@@ -53,8 +53,8 @@ class RoundEvent:
     amount: float
 
     def __post_init__(self):
-        if self.time < 0:
-            raise ValueError("tick must be nonnegative")
+        if not 0 <= self.time < math.inf:
+            raise ValueError(f"tick must be nonnegative and finite, got {self.time!r}")
         if not (self.amount > 0) or not math.isfinite(self.amount):
             raise ValueError("event amount must be a positive finite real")
 
@@ -79,8 +79,8 @@ class AssurancePolicy:
 
     def __post_init__(self):
         for g, t in self.threshold.items():
-            if t < 0:
-                raise ValueError(f"threshold for {g!r} must be nonnegative")
+            if not t >= 0:
+                raise ValueError(f"threshold for {g!r} must be nonnegative, got {t!r}")
 
 
 class RoundLedger:
@@ -88,7 +88,7 @@ class RoundLedger:
     settlement."""
 
     def __init__(self, window_end: int):
-        if window_end < 1:
+        if not window_end >= 1:
             raise ValueError("window_end must be at least 1")
         self.window_end = window_end
         self.events: list[RoundEvent] = []
@@ -234,6 +234,9 @@ class ThresholdPledger:
     """
 
     def __init__(self, citizen_id: str, shares: dict[str, float], min_step: float = 1e-12):
+        for g, s in shares.items():
+            if not 0 <= s < math.inf:
+                raise ValueError(f"share for {g!r} must be nonnegative and finite, got {s!r}")
         self.citizen_id = citizen_id
         self.shares = dict(shares)
         self.min_step = min_step

@@ -145,6 +145,10 @@ def _parse_round(spec, goods: list[str], citizen_ids: set[str]) -> RoundSpec:
         if g not in goods:
             raise ScenarioFormatError(f"round.assurance: unknown good {g!r}")
         assurance[g] = _number(t, f"round.assurance.{g}")
+        if not assurance[g] >= 0:
+            raise ScenarioFormatError(
+                f"round.assurance.{g}: expected a nonnegative number or Infinity, "
+                f"got {assurance[g]!r}")
     agents = {}
     for cid, aspec in (spec.get("agents") or {}).items():
         if cid not in citizen_ids:
@@ -159,10 +163,14 @@ def _parse_round(spec, goods: list[str], citizen_ids: set[str]) -> RoundSpec:
                 f"threshold_pledger, got {policy!r}")
         shares = {g: _number(x, f"round.agents.{cid}.shares.{g}")
                   for g, x in (aspec.get("shares") or {}).items()}
-        for g in shares:
+        for g, x in shares.items():
             if g not in goods:
                 raise ScenarioFormatError(
                     f"round.agents.{cid}.shares: unknown good {g!r}")
+            if not 0 <= x < math.inf:
+                raise ScenarioFormatError(
+                    f"round.agents.{cid}.shares.{g}: expected a nonnegative finite number, "
+                    f"got {x!r}")
         agents[cid] = AgentSpec(policy=policy, shares=shares)
     return RoundSpec(window_end=spec["window_end"], seed=spec["seed"],
                      delay=delay, assurance=assurance, agents=agents)

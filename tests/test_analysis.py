@@ -265,3 +265,21 @@ class TestJensenDirection:
         r = solve_equilibrium(sc)
         assert r.converged
         assert r.marginal_report["many"] > r.marginal_report["few"]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: fraud_arbitrage(0.5, 3, math.nan),
+    lambda: fraud_arbitrage(0.5, 3, math.inf),
+    lambda: cartel_defection(0.5, 4, math.nan),
+    lambda: cartel_defection(0.5, 4, math.inf),
+    lambda: solve_alpha_for_budget(sqrt_scenario([2.0, 4.0], MechanismConfig.cqf(0.5)),
+                                   math.nan),
+    lambda: jensen_direction(math.nan),
+], ids=["fraud-x-nan", "fraud-x-inf", "cartel-c-nan", "cartel-c-inf", "budget-nan",
+        "jensen-beta-nan"])
+def test_nan_and_meaningless_inf_inputs_rejected(call):
+    # NaN once passed every `x < 0` / `x <= 0` check here: the attack
+    # calculators returned nan, the calibration returned alpha_min after
+    # about 14 solves and jensen_direction answered OVER
+    with pytest.raises(ValueError, match="must be"):
+        call()

@@ -1,9 +1,15 @@
 import csv
 import io
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qflab
 from qflab.cli import main
 
 
@@ -133,6 +139,26 @@ class TestEquilibrium:
         out = capsys.readouterr().out
         assert code == 3
         assert "converged=False" in out
+
+    @pytest.mark.parametrize("params", [{"k": math.nan, "m": 30}, {"k": 0.5, "m": math.nan},
+                                        {"k": math.inf, "m": 30}, {"k": 0.5, "m": math.inf}])
+    def test_sshaped_param_not_finite_exit_2(self, tmp_path, capsys, params):
+        # a NaN k or m once passed the k <= 0 / m <= 0 checks and the solve
+        # raised IndexError
+        scenario = json.loads(json.dumps(SCENARIO_QF))
+        scenario["citizens"][0]["values"]["g"] = {
+            "family": "SSHAPED", "params": {"a": 20, **params}}
+        path = write(tmp_path, "s.json", scenario)
+        assert main(["equilibrium", path]) == 2
+        assert "SSHAPED requires finite k > 0 and m > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--tolerance", "nan"], ["--tolerance", "-1"],
+                                       ["--tolerance", "0"], ["--tolerance", "inf"],
+                                       ["--max-iters", "-5"], ["--max-iters", "0"]])
+    def test_bad_solver_flags_exit_2(self, tmp_path, capsys, flags):
+        path = write(tmp_path, "s.json", SCENARIO_QF)
+        assert main(["equilibrium", path, *flags]) == 2
+        assert flags[0][2:].replace("-", "_") in capsys.readouterr().err
 
     def test_round_trip_with_fund(self, tmp_path, capsys):
         path = write(tmp_path, "s.json", SCENARIO_QF)
@@ -295,6 +321,16 @@ class TestAttack:
         payload = json.loads(capsys.readouterr().out)
         assert payload["defection_gain"] == 801.0
 
+    @pytest.mark.parametrize("x", ["nan", "inf", "0"])
+    def test_fraud_amount_not_positive_finite_exit_2(self, capsys, x):
+        assert main(["attack", "--fraud", "--alpha", "0.5", "--k", "3", "--x", x]) == 2
+        assert "per_identity must be a positive finite real" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("c", ["nan", "inf", "-1"])
+    def test_cartel_amount_not_positive_finite_exit_2(self, capsys, c):
+        assert main(["attack", "--cartel", "--alpha", "0.5", "--n", "4", "--c", c]) == 2
+        assert "contribution must be a positive finite real" in capsys.readouterr().err
+
     def test_contradictory_flags_exit_2(self, capsys):
         assert main(["attack", "--fraud", "--alpha", "0.1", "--k", "5",
                      "--n", "10"]) == 2
@@ -390,3 +426,14 @@ class TestRound:
         assert events and all(len(r) == 5 and r[1].endswith(",x") and r[2] == "g,1"
                               for r in events)
         assert rows[-1][0] == "g,1" and len(rows[-1]) == 4
+
+
+def test_import_loads_no_scipy():
+    # qflab's numeric core is numpy and Python floats only
+    src = str(Path(qflab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys, qflab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -421,6 +421,23 @@ class TestSolveEquilibrium:
         assert r.residual > 0
         assert r.iterations == 3
 
+    @pytest.mark.parametrize("kw", [{"tolerance": math.nan}, {"tolerance": -1.0},
+                                    {"tolerance": 0.0}, {"tolerance": math.inf},
+                                    {"max_iters": -5}, {"max_iters": 0},
+                                    {"max_iters": math.nan}])
+    def test_bad_tolerance_or_max_iters_rejected(self, kw):
+        # tolerance NaN or -1 once ran all 10,000 sweeps of an S-shaped
+        # solve, and max_iters -5 returned unconverged at 0 sweeps
+        cits = [Citizen(f"c{i}", {"g": ValueFunction.sshaped(20.0 + i, 0.5, 30.0)})
+                for i in range(3)]
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            solve_equilibrium(Scenario(cits, ["g"], MechanismConfig.qf()), **kw)
+
+    @pytest.mark.parametrize("budget", [math.nan, -1.0])
+    def test_bad_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match="budget must be nonnegative"):
+            Scenario(sqrt_scenario([1.0]).citizens, ["g"], MechanismConfig.qf(), budget)
+
     def test_harmed_citizen_driving_funding_to_zero_does_not_raise(self):
         # the harmed citizen's best response sits on the kink where its sign
         # branch drives F to 0; the derivative is NaN there
@@ -708,3 +725,11 @@ class TestObjective:
                 h = 1e-5 * c
                 fd = (obj.u(c + h) - obj.u(c - h)) / (2.0 * h)
                 assert obj.du(c) == pytest.approx(fd, rel=1e-6, abs=1e-7)
+
+
+def test_geomspace_has_numpys_bits():
+    rng = np.random.default_rng(20261019)
+    for hi in np.concatenate([2.0 ** np.arange(0, 330, 7), 10.0 ** rng.uniform(0, 250, 60)]):
+        for lo, num in ((1e-9, 256), (1e-9 * hi, 3000)):
+            assert eq._geomspace(lo, float(hi), num).tobytes() == \
+                np.geomspace(lo, float(hi), num).tobytes(), (lo, hi, num)

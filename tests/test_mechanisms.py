@@ -124,6 +124,12 @@ class TestPolicyAndValidation:
             MechanismConfig(Variant.QF, alpha=0.5)
         with pytest.raises(PolicyError):
             fund(profile([1]), MechanismConfig.one_p_one_v())
+        # an infinite beta or scale once passed, and funded 1 and 4 at inf
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite beta"):
+                MechanismConfig.beta_rule(bad)
+            with pytest.raises(ValueError, match="finite scale"):
+                MechanismConfig.linear_match(bad)
 
 
 class TestProfileContract:

@@ -78,6 +78,15 @@ class TestValue:
             ValueFunction(Family.SQRT, 1.0, rho=0.5)
 
 
+    @pytest.mark.parametrize("k, m", [(math.nan, 30.0), (0.5, math.nan), (math.inf, 30.0),
+                                      (0.5, math.inf), (-0.5, 30.0), (0.5, 0.0)])
+    def test_sshaped_k_and_m_must_be_positive_finite(self, k, m):
+        # NaN once passed the k <= 0 and m <= 0 checks, and solving a good
+        # with such a member raised IndexError
+        with pytest.raises(ValueError, match="SSHAPED requires finite k > 0 and m > 0"):
+            ValueFunction.sshaped(20.0, k, m)
+
+
 class TestMarginal:
     def test_examples(self):
         assert ValueFunction.sqrt(2).marginal(9) == pytest.approx(1 / 3, rel=1e-15)
@@ -155,10 +164,18 @@ class TestFloatPath:
             self.assert_matches_array_path(vf, 7)
 
     def test_sshaped_past_exp_range(self):
-        # k*(F - m) runs from -1000 at F = 0 to +1000 at F = 200
+        # k*(F - m) runs from -1000 at F = 0 to +1000 at F = 200; the
+        # logistic switches formula at k*(F - m) = -709, which F = 29.1 and
+        # the float below it hit exactly and the float above it passes
         vf = ValueFunction.sshaped(3.0, 10.0, 100.0)
-        for F in (0.0, 1.0, 29.0, 29.1, 29.2, 30.0, 170.8, 170.9, 171.0, 200.0):
+        Fs = (0.0, 1.0, 25.4, 25.5, 27.0, 29.0, 29.09, 29.099999999999998, 29.1,
+              29.100000000000005, 29.11, 29.2, 29.3, 29.45, 29.5, 29.65, 29.7, 29.85,
+              29.9, 30.0, 170.8, 170.9, 171.0, 200.0)
+        for F in Fs:
             self.assert_matches_array_path(vf, F)
+        for method in ("value", "marginal"):
+            whole = getattr(vf, method)(np.array(Fs)).tolist()
+            assert all(same_bits(getattr(vf, method)(F), w) for F, w in zip(Fs, whole))
 
     @pytest.mark.parametrize("F", [-1.0, -1, np.float64(-1.0), -5e-324])
     def test_negative_rejected_as_on_arrays(self, F):

@@ -350,3 +350,18 @@ class TestLedgerCsv:
         assert "# settlement" in lines
         footer = lines[lines.index("# settlement") + 1]
         assert footer == "good_id,status,funding,refund_total"
+
+
+@pytest.mark.parametrize("make", [
+    lambda: AssurancePolicy({"g": math.nan}),
+    lambda: RoundEvent(math.nan, "a", "g", EventKind.CONTRIBUTE, 1.0),
+    lambda: RoundEvent(math.inf, "a", "g", EventKind.CONTRIBUTE, 1.0),
+    lambda: RoundLedger(math.nan),
+    lambda: ThresholdPledger("p", {"g": math.nan}),
+    lambda: ThresholdPledger("p", {"g": math.inf}),
+], ids=["threshold-nan", "tick-nan", "tick-inf", "window-nan", "share-nan", "share-inf"])
+def test_nan_inputs_rejected(make):
+    # a NaN threshold once made its good never fund, a NaN share its
+    # pledger never pledge, and a NaN tick was accepted into the log
+    with pytest.raises(ValueError, match="must be"):
+        make()

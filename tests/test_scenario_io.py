@@ -307,3 +307,25 @@ class TestContributionsCsvRoundTrip:
         profiles = parse_contributions_csv(HS + "a,g,1.25,+1\nb,g,4,-1\n")
         assert contributions_to_csv(profiles) == (
             "citizen_id,good_id,amount,sign\na,g,1.25,+1\nb,g,4,-1\n")
+
+
+@pytest.mark.parametrize("path, value", [
+    (("budget",), float("nan")),
+    (("budget",), -1.0),
+    (("round", "assurance", "g"), float("nan")),
+    (("round", "assurance", "g"), -1.0),
+    (("round", "agents", "b", "shares", "g"), float("nan")),
+    (("round", "agents", "b", "shares", "g"), float("inf")),
+    (("citizens", 0, "values", "g"), {"family": "SSHAPED",
+                                      "params": {"a": 20, "k": float("nan"), "m": 30}}),
+], ids=["budget-nan", "budget-negative", "threshold-nan", "threshold-negative",
+        "share-nan", "share-inf", "sshaped-k-nan"])
+def test_nan_and_negative_numbers_rejected(path, value):
+    data = TestRoundBlock().round_block()
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    # through JSON text, where NaN is the token a file would hold
+    with pytest.raises(ScenarioFormatError):
+        parse_scenario(json.dumps(data))
