@@ -129,8 +129,8 @@ def _parse_mechanism(spec, where: str) -> MechanismConfig:
 
 def _parse_round(spec, goods: list[str], citizen_ids: set[str]) -> RoundSpec:
     _reject_unknown(spec, _ROUND_KEYS, "round")
-    if "window_end" not in spec or not isinstance(spec["window_end"], int) \
-            or spec["window_end"] < 1:
+    window_end = spec.get("window_end")
+    if not isinstance(window_end, int) or isinstance(window_end, bool) or window_end < 1:
         raise ScenarioFormatError("round.window_end: expected a positive integer")
     if "seed" not in spec or not isinstance(spec["seed"], int) \
             or isinstance(spec["seed"], bool):
@@ -172,7 +172,7 @@ def _parse_round(spec, goods: list[str], citizen_ids: set[str]) -> RoundSpec:
                     f"round.agents.{cid}.shares.{g}: expected a nonnegative finite number, "
                     f"got {x!r}")
         agents[cid] = AgentSpec(policy=policy, shares=shares)
-    return RoundSpec(window_end=spec["window_end"], seed=spec["seed"],
+    return RoundSpec(window_end=window_end, seed=spec["seed"],
                      delay=delay, assurance=assurance, agents=agents)
 
 

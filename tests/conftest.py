@@ -1,9 +1,23 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
-from qflab import Citizen, DeficitMode, MechanismConfig, Scenario, ValueFunction, Variant
+from qflab import (
+    AgentView,
+    AssurancePolicy,
+    Citizen,
+    DeficitMode,
+    MechanismConfig,
+    RoundEvent,
+    RoundLedger,
+    Scenario,
+    ValueFunction,
+    Variant,
+    assurance_settlement,
+    provisional_snapshot,
+)
 from qflab import equilibrium
 
 
@@ -129,3 +143,42 @@ def grid_route(vf, shape, T_o, A_o):
     members through the grid scan and the same candidate and tie logic."""
     obj = equilibrium._Objective(vf, 0.0, shape, 1, T_o, A_o)
     return equilibrium._maximize_branch(obj)[0]
+
+
+# ---------------------------------------------------------------------------
+# the eager agent-tick loop, to compare run_round against
+
+
+def reference_run_round(scenario, agents, window_end, assurance=None, delay=0,
+                        seed=0):
+    """``run_round`` with the agent-tick loop it had before views were pinned:
+    every agent-tick copies the whole delayed state out of the ledger, rebuilds
+    the agent's holdings from ``committed`` (every good it has an event on,
+    after the scenario's goods) and builds its view by keyword, so a myopic
+    agent sums the others' profile itself."""
+    policy = assurance or AssurancePolicy()
+    ledger = RoundLedger(window_end)
+    rng = random.Random(seed)
+    ids = sorted(agents)
+    for tick in range(window_end):
+        order = ids[:]
+        rng.shuffle(order)
+        for cid in order:
+            delayed = ledger.commitments_by_good(as_of=tick - delay)
+            goods = dict.fromkeys(scenario.goods)
+            goods.update(dict.fromkeys(e.good_id for e in ledger.events
+                                       if e.citizen_id == cid))
+            own = {g: ledger.committed(cid, g) for g in goods}
+            view = AgentView(tick=tick, delayed_commitments=delayed,
+                             own_committed=own, config=scenario.mechanism,
+                             assurance=policy)
+            action = agents[cid].propose(view)
+            if action is None:
+                continue
+            good, kind, amount = action
+            ledger.apply(RoundEvent(tick, cid, good, kind, amount))
+        ledger.snapshots.append(
+            (tick, provisional_snapshot(ledger, tick, scenario.mechanism, delay,
+                                        goods=scenario.goods)))
+    assurance_settlement(ledger, policy, scenario.mechanism, goods=scenario.goods)
+    return ledger

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from qflab import (
@@ -22,8 +23,8 @@ from qflab import (
     run_round,
     snapshots_to_json,
 )
-from qflab import equilibrium
-from conftest import grid_route, sqrt_scenario
+from qflab import DeficitMode, equilibrium, rounds
+from conftest import grid_route, reference_run_round, sqrt_scenario
 
 
 QF = MechanismConfig.qf()
@@ -365,3 +366,296 @@ def test_nan_inputs_rejected(make):
     # pledger never pledge, and a NaN tick was accepted into the log
     with pytest.raises(ValueError, match="must be"):
         make()
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("window_end", [2.5, math.inf, True, "3", 3.0, 0])
+    def test_bad_window_end_rejected(self, window_end):
+        # 2.5 and inf once failed with a TypeError from range()
+        with pytest.raises(ValueError, match="window_end"):
+            RoundLedger(window_end)
+        sc = sqrt_scenario([2.0])
+        calls = []
+
+        class Recorder:
+            def propose(self, view):
+                calls.append(view.tick)
+
+        with pytest.raises(ValueError, match="window_end"):
+            run_round(sc, {"c0": Recorder()}, window_end)
+        assert calls == []
+
+    def test_numpy_integer_window_end_accepted(self):
+        assert RoundLedger(np.int64(3)).window_end == 3
+
+    @pytest.mark.parametrize("min_step", [0.0, -1e-9, math.nan, math.inf])
+    def test_bad_min_step_rejected(self, min_step):
+        # NaN once made a myopic agent never act, and 0 or less proposed
+        # zero-amount events
+        citizen = Citizen("c0", {"g": ValueFunction.sqrt(2.0)})
+        with pytest.raises(ValueError, match="min_step"):
+            MyopicBestResponse(citizen, ["g"], min_step=min_step)
+        with pytest.raises(ValueError, match="min_step"):
+            ThresholdPledger("p", {"g": 1.0}, min_step=min_step)
+
+
+def test_pledger_outside_the_scenario_goods_pledges_once():
+    # own_committed once listed only the scenario's goods, so a pledger on
+    # any other good saw 0.0 and pledged its share again every tick
+    sc = Scenario([Citizen("p", {})], ["g"], QF)
+    led = run_round(sc, {"p": ThresholdPledger("p", {"h": 1.0})}, window_end=3,
+                    assurance=AssurancePolicy({"h": 0.5}))
+    assert len(led.events) == 1
+    assert led.committed("p", "h") == 1.0
+
+
+GOODS = ["g", "h"]
+
+
+class Scripted:
+    """A seeded random policy: contributes a random amount to a random good,
+    or withdraws part or all of a holding, so holdings go to exactly zero and
+    come back."""
+
+    def __init__(self, seed):
+        self.rnd = random.Random(seed)
+
+    def propose(self, view):
+        rnd = self.rnd
+        good = rnd.choice(GOODS)
+        held = view.own_committed.get(good, 0.0)
+        move = rnd.random()
+        if held > 0 and move < 0.25:
+            return good, EventKind.WITHDRAW, held
+        if held > 0 and move < 0.4:
+            return good, EventKind.WITHDRAW, held * rnd.random()
+        if move < 0.55:
+            return None
+        return good, EventKind.CONTRIBUTE, rnd.choice(
+            [0.1, 1 / 3, rnd.random() * 1e-9, rnd.random() * 1e6, rnd.random()])
+
+
+class Follower:
+    """Reads the delayed state, in its listed order: tops its holding up to
+    half of the first other holder's amount, and withdraws it all once it
+    holds more than that holder."""
+
+    def __init__(self, cid):
+        self.cid = cid
+
+    def propose(self, view):
+        for good in GOODS:
+            others = [amt for cid, amt in view.delayed_commitments.get(good, {}).items()
+                      if cid != self.cid]
+            if not others:
+                continue
+            own = view.own_committed.get(good, 0.0)
+            if own > others[0]:
+                return good, EventKind.WITHDRAW, own
+            if own < 0.5 * others[0]:
+                return good, EventKind.CONTRIBUTE, 0.5 * others[0] - own
+        return None
+
+
+class Uncached:
+    """A fresh agent for every proposal, so no agent carries anything from
+    one tick to the next."""
+
+    def __init__(self, make):
+        self.make = make
+
+    def propose(self, view):
+        return self.make().propose(view)
+
+
+class Logged:
+    """Wraps an agent; keeps each view with the number of events the round
+    had logged when the view was made (``log`` is shared by the round)."""
+
+    def __init__(self, agent, log, check=None):
+        self.agent, self.log, self.check = agent, log, check
+
+    def propose(self, view):
+        self.log["views"].append((view, self.log["events"]))
+        if self.check:
+            self.check(view)
+        action = self.agent.propose(view)
+        self.log["events"] += action is not None
+        return action
+
+
+DELAYS = [0, 1, 2.5, math.inf]
+
+
+def mixed_round_agents(sc, seed, uncached=False):
+    """Myopic agents on both goods, a pledger, a scripted trader and a
+    follower."""
+    myopic = {c.id: (Uncached(lambda c=c: MyopicBestResponse(c, GOODS)) if uncached
+                     else MyopicBestResponse(c, GOODS))
+              for c in sc.citizens if c.values}
+    return {**myopic,
+            "p": ThresholdPledger("p", {"g": 0.7, "h": 1.3}),
+            "s": Scripted(seed),
+            "f": Follower("f")}
+
+
+def mixed_scenario(config):
+    values = [ValueFunction.sqrt(2.0), ValueFunction.log(3.0),
+              ValueFunction.isoelastic(2.5, 0.4), ValueFunction.sshaped(6.0, 0.8, 4.0)]
+    lam = 0.3 if config.deficit_mode is DeficitMode.SHADOW_PRICES else 0.0
+    cits = [Citizen(f"c{i}", {"g": vf, "h": values[(i + 1) % 4]}, lam=lam)
+            for i, vf in enumerate(values)]
+    cits += [Citizen(cid, {}) for cid in ("p", "s", "f")]
+    return Scenario(cits, GOODS, config)
+
+
+MYOPIC_RULES = {
+    "private": MechanismConfig.private(),
+    "linear2": MechanismConfig.linear_match(2.0),
+    "qf": QF,
+    "cqf0.5": MechanismConfig.cqf(0.5),
+    "pm_qf": MechanismConfig.pm_qf(),
+    "beta1.5": MechanismConfig.beta_rule(1.5),
+    "cqf0.5-shadow": MechanismConfig.cqf(0.5, deficit_mode=DeficitMode.SHADOW_PRICES),
+}
+
+
+class TestPinnedViews:
+    @pytest.mark.parametrize("delay", DELAYS)
+    def test_stored_views_show_the_state_when_made(self, delay):
+        sc = mixed_scenario(MechanismConfig.cqf(0.5))
+        log = {"views": [], "events": 0}
+        agents = {cid: Logged(a, log) for cid, a in mixed_round_agents(sc, 4).items()
+                  if cid != "f"}
+        led = run_round(sc, agents, window_end=12, assurance=AssurancePolicy({"g": 1.0}),
+                        delay=delay, seed=8)
+        assert any(e.kind is EventKind.WITHDRAW for e in led.events)
+        assert log["events"] == len(led.events)
+        # read only now, after every later event
+        for view, n_events in log["views"]:
+            want = replay(led.events[:n_events], view.tick - delay)
+            assert repr(view.delayed_commitments) == repr(want)
+
+    def test_mutating_a_view_leaves_the_ledger_unchanged(self):
+        sc = mixed_scenario(QF)
+
+        class Vandal:
+            def __init__(self, agent):
+                self.agent = agent
+
+            def propose(self, view):
+                action = self.agent.propose(view)
+                for held in view.delayed_commitments.values():
+                    for cid in held:
+                        held[cid] = 1e9
+                view.delayed_commitments["zz"] = {"x": 1.0}
+                view.own_committed.clear()
+                view.own_committed["g"] = -5.0
+                return action
+
+        def play(wrap):
+            agents = {cid: wrap(a) for cid, a in mixed_round_agents(sc, 2).items()}
+            return run_round(sc, agents, window_end=10, assurance=AssurancePolicy({"g": 1.0}),
+                             delay=1, seed=3)
+
+        clean, vandal = play(lambda a: a), play(Vandal)
+        assert ledger_to_csv(vandal) == ledger_to_csv(clean)
+        assert snapshots_to_json(vandal) == snapshots_to_json(clean)
+        for as_of in range(-1, 11):
+            assert repr(vandal.commitments_by_good(as_of)) == repr(
+                clean.commitments_by_good(as_of))
+
+    @pytest.mark.parametrize("config", [
+        QF, MechanismConfig.cqf(0.5), MechanismConfig.beta_rule(1.5),
+        MechanismConfig.linear_match(2.0), MechanismConfig.private(),
+        MechanismConfig.pm_qf()], ids=["qf", "cqf0.5", "beta1.5", "linear2",
+                                       "private", "pm_qf"])
+    @pytest.mark.parametrize("delay", [0, 1])
+    def test_running_aggregates_are_bit_identical(self, config, delay):
+        shape = config.shape
+        ids = ["a", "b", "c", "d", "e"]
+        checked = []
+
+        def check(view):
+            delayed = view.delayed_commitments
+            for good in GOODS + ["k"]:
+                for cid in ids + ["z"]:
+                    amounts = [amt for other, amt in delayed.get(good, {}).items()
+                               if other != cid]
+                    want = (shape.aggregate(amounts, [1] * len(amounts)),
+                            math.fsum(amounts))
+                    got = view.others_aggregates(good, cid)
+                    assert [x.hex() for x in got] == [x.hex() for x in want]
+                    checked.append(bool(amounts))
+
+        log = {"views": [], "events": 0}
+        agents = {cid: Logged(Scripted(i), log, check) for i, cid in enumerate(ids)}
+        sc = Scenario([Citizen(cid, {}) for cid in ids], GOODS, config)
+        led = run_round(sc, agents, window_end=40, delay=delay, seed=1)
+        assert sum(e.kind is EventKind.WITHDRAW for e in led.events) >= 10
+        assert sum(checked) > 1000
+
+
+class TestAgainstTheEagerLoop:
+    @pytest.mark.parametrize("rule", sorted(MYOPIC_RULES))
+    @pytest.mark.parametrize("delay", DELAYS)
+    def test_outputs_are_bit_identical(self, rule, delay):
+        sc = mixed_scenario(MYOPIC_RULES[rule])
+        assurance = AssurancePolicy({"g": 2.0, "h": 50.0})
+        got = run_round(sc, mixed_round_agents(sc, 5), window_end=16,
+                        assurance=assurance, delay=delay, seed=21)
+        want = reference_run_round(sc, mixed_round_agents(sc, 5, uncached=True),
+                                   window_end=16, assurance=assurance, delay=delay,
+                                   seed=21)
+        kinds = {(e.citizen_id[0], e.kind) for e in got.events}
+        assert {("c", EventKind.CONTRIBUTE), ("p", EventKind.CONTRIBUTE),
+                ("s", EventKind.WITHDRAW)} <= kinds
+        assert ledger_to_csv(got) == ledger_to_csv(want)
+        assert snapshots_to_json(got) == snapshots_to_json(want)
+
+    def test_pledgers_materialise_no_delayed_view(self):
+        sc = TestAssuranceCoordination().scenario()
+        for delay in (0, 1):
+            log = {"views": [], "events": 0}
+            agents = {c.id: Logged(ThresholdPledger(c.id, {"g": 1.6}), log)
+                      for c in sc.citizens}
+            run_round(sc, agents, window_end=15, assurance=AssurancePolicy({"g": 30.0}),
+                      delay=delay, seed=3)
+            assert len(log["views"]) == 75
+            assert all(view._delayed is None for view, _ in log["views"])
+
+    def test_myopic_agents_repeat_no_best_response(self, monkeypatch):
+        # criterion 12: every agent sees the same (T_o, A_o) every tick
+        calls = []
+        core = rounds._best_response_core
+
+        def counted(vf, lam, shape, T_o, A_o):
+            calls.append((id(vf), lam, shape, T_o, A_o))
+            return core(vf, lam, shape, T_o, A_o)
+
+        monkeypatch.setattr(rounds, "_best_response_core", counted)
+        sc = TestAssuranceCoordination().scenario()
+        agents = {c.id: MyopicBestResponse(c, sc.goods) for c in sc.citizens}
+        led = run_round(sc, agents, window_end=15, delay=0, seed=3)
+        assert led.events == []
+        assert len(calls) == len(set(calls)) == 5
+
+    def test_aggregates_past_the_float_range_fail_as_a_profile_sum_does(self):
+        # two pledges of 1e308 overflow the running total (QF funds them at
+        # inf); the view then sums the profile and raises fsum's OverflowError
+        sc = Scenario([Citizen(cid, {}) for cid in ("p", "q", "x")], ["g"], QF)
+        seen = []
+
+        class Probe:
+            def propose(self, view):
+                try:
+                    seen.append(view.others_aggregates("g", "x"))
+                except OverflowError as exc:
+                    seen.append(exc)
+
+        agents = {"p": ThresholdPledger("p", {"g": 1e308}),
+                  "q": ThresholdPledger("q", {"g": 1e308}), "x": Probe()}
+        run_round(sc, agents, window_end=3, assurance=AssurancePolicy({"g": 1.0}),
+                  delay=1, seed=0)
+        assert seen[0] == (0.0, 0.0)
+        assert [type(x) for x in seen[1:]] == [OverflowError, OverflowError]

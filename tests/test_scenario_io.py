@@ -148,6 +148,14 @@ class TestRoundBlock:
         with pytest.raises(ScenarioFormatError, match="delay"):
             parse_scenario(data)
 
+    @pytest.mark.parametrize("window_end", [True, False, 0, 2.5, "3", None])
+    def test_bad_window_end_rejected(self, window_end):
+        # true was once read as a 1-tick round
+        data = self.round_block()
+        data["round"]["window_end"] = window_end
+        with pytest.raises(ScenarioFormatError, match="window_end"):
+            parse_scenario(data)
+
     def test_infinite_delay_is_a_blind_round(self):
         data = self.round_block()
         data["round"]["delay"] = float("inf")
