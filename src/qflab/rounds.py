@@ -11,23 +11,20 @@ agents act in an order drawn from a seeded generator, so identical
 (scenario, agents, seed) inputs replay to bit-identical ledgers. Replaying
 a ledger's events reproduces every recorded snapshot exactly.
 
-The event log is kept in tick order. Each event publishes the committed
-state as a new object that nothing changes afterwards: the positive
-amounts per good, and each good's exact running sums of the amounts and
-of the rule's roots c**(1/beta), kept as Shewchuk partials (the algorithm
-behind ``math.fsum``). Publishing costs O(goods) plus the holders of the
-event's good. When the first event of a later tick arrives, the state as
-it stood at the end of the previous tick becomes a checkpoint, so the
-state as of any earlier tick is a lookup rather than a replay of the log.
-Each value in it is the same sum, in event order, that a replay would
-compute.
+The event log is kept in tick order. The positive amounts per good are
+built from the holdings when first asked for after an event, in
+O(holdings), and that object is never changed afterwards. When the first
+event of a later tick arrives, the state as it stood at the end of the
+previous tick becomes a checkpoint, so the state as of any earlier tick is
+a lookup rather than a replay of the log. Each value in it is the same
+sum, in event order, that a replay would compute.
 
-An agent-tick costs O(goods) before the policy runs. The agent's
-``AgentView`` pins the delayed state by reference and copies out the
-agent's own holdings, which the ledger keeps per citizen. The delayed
-commitments are copied only if the policy reads them; the others'
-aggregates (T_o, A_o), all a best response needs, come from the running
-sums without a copy.
+An agent-tick costs O(goods) before the policy runs, apart from that
+rebuild once per event. The agent's ``AgentView`` pins the delayed state
+by reference and copies out the agent's own holdings, which the ledger
+keeps per citizen. The delayed commitments are copied only if the policy
+reads them; the others' aggregates (T_o, A_o), all a best response needs,
+are summed over one good's holders without a copy.
 """
 
 from __future__ import annotations
@@ -40,10 +37,9 @@ import numbers
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
 
 from .errors import PolicyError
-from .mechanisms import ContributionProfile, DeficitMode, MechanismConfig, RuleShape, fund
+from .mechanisms import ContributionProfile, DeficitMode, MechanismConfig, fund
 from .preferences import Citizen
 from .equilibrium import Scenario, _aggregates_of, _best_response_core
 from .scenario_io import _csv_field
@@ -98,59 +94,15 @@ class AssurancePolicy:
                 raise ValueError(f"threshold for {g!r} must be nonnegative, got {t!r}")
 
 
-def _exact_sum(partials, terms):
-    """The partials of sum(partials) + sum(terms), with no rounding error
-    (Shewchuk's running sum, as in ``math.fsum``), so that fsum over them
-    is the correctly rounded total. None once the total leaves the float
-    range, and for partials that are None."""
-    if partials is None:
-        return None
-    partials = list(partials)
-    for x in terms:
-        if not x:
-            continue
-        i = 0
-        for y in partials:
-            if abs(x) < abs(y):
-                x, y = y, x
-            hi = x + y
-            lo = y - (hi - x)
-            if lo:
-                partials[i] = lo
-                i += 1
-            x = hi
-        if not math.isfinite(x):
-            return None
-        partials[i:] = [x]
-    return tuple(partials)
-
-
-class _State(NamedTuple):
-    """The committed state after some event; never changed once published.
-
-    ``by_good`` holds the positive amounts per good, listed as a replay of
-    the log lists them. ``amounts`` and ``roots`` hold each good's exact
-    partials of the total and of the root aggregate (None past the float
-    range); ``roots`` is empty when the ledger has no rule."""
-
-    by_good: dict[str, dict[str, float]]
-    amounts: dict[str, tuple[float, ...] | None]
-    roots: dict[str, tuple[float, ...] | None]
-
-
-_EMPTY = _State({}, {}, {})
-
-
 def _fresh(by_good: dict[str, dict[str, float]]) -> dict[str, dict[str, float]]:
     return {g: dict(held) for g, held in by_good.items()}
 
 
 class RoundLedger:
     """Append-only, tick-ordered event log plus per-tick snapshots and the
-    settlement. Given the round's rule ``shape``, the ledger also keeps each
-    good's exact root aggregate, which agent views read (module docstring)."""
+    settlement."""
 
-    def __init__(self, window_end: int, shape: RuleShape | None = None):
+    def __init__(self, window_end: int):
         if isinstance(window_end, bool) or not isinstance(window_end, numbers.Integral) \
                 or window_end < 1:
             raise ValueError(f"window_end must be an integer of at least 1, got {window_end!r}")
@@ -159,33 +111,41 @@ class RoundLedger:
         self.snapshots: list[tuple[int, dict[str, float]]] = []
         self.settlement: dict[str, GoodSettlement] | None = None
         self.goods_seen: set[str] = set()
-        self._shape = shape
         # every amount ever committed (0.0 after a full withdrawal), per
-        # citizen and per good, each in first-event order, and the order of
-        # each (citizen, good) pair's first event
+        # (citizen, good) pair and per citizen, each in first-event order
+        self._committed: dict[tuple[str, str], float] = {}
         self._holdings: dict[str, dict[str, float]] = {}
-        self._holders: dict[str, dict[str, float]] = {}
-        self._pair_order: dict[tuple[str, str], int] = {}
-        self._state = _EMPTY
-        # _checkpoints[i] is the state at the end of _checkpoint_ticks[i]
+        self._live: dict[str, dict[str, float]] | None = {}
+        # _checkpoints[i] is the by-good state at the end of _checkpoint_ticks[i]
         self._checkpoint_ticks: list[int] = []
-        self._checkpoints: list[_State] = []
+        self._checkpoints: list[dict[str, dict[str, float]]] = []
 
     def committed(self, citizen_id: str, good_id: str) -> float:
-        return self._holdings.get(citizen_id, {}).get(good_id, 0.0)
+        return self._committed.get((citizen_id, good_id), 0.0)
 
-    def _state_at(self, as_of: float | None) -> _State:
+    def _by_good(self) -> dict[str, dict[str, float]]:
+        """The positive amounts per good now. Built after each event when
+        first asked for, and never changed afterwards."""
+        if self._live is None:
+            live: dict[str, dict[str, float]] = {}
+            for (cid, gid), amt in self._committed.items():
+                if amt > 0:
+                    live.setdefault(gid, {})[cid] = amt
+            self._live = live
+        return self._live
+
+    def _by_good_at(self, as_of: float | None) -> dict[str, dict[str, float]]:
         if as_of is not None and math.isnan(as_of):
             raise ValueError("as_of must not be NaN")
         if as_of is None or (self.events and as_of >= self.events[-1].time):
-            return self._state
+            return self._by_good()
         i = bisect.bisect_right(self._checkpoint_ticks, as_of)
-        return self._checkpoints[i - 1] if i else _EMPTY
+        return self._checkpoints[i - 1] if i else {}
 
     def commitments_by_good(self, as_of: float | None = None) -> dict[str, dict[str, float]]:
         """Positive committed amounts per good, at the end of tick ``as_of``
         (any real, inf included) or now. Every call returns fresh dicts."""
-        return _fresh(self._state_at(as_of).by_good)
+        return _fresh(self._by_good_at(as_of))
 
     def apply(self, event: RoundEvent) -> "RoundLedger":
         if self.settlement is not None:
@@ -206,40 +166,13 @@ class RoundLedger:
                 f"holds only {held} on {gid!r}")
         if last is not None and event.time > last:
             self._checkpoint_ticks.append(last)
-            self._checkpoints.append(self._state)
+            self._checkpoints.append(self._by_good())
         delta = event.amount if event.kind is EventKind.CONTRIBUTE else -event.amount
-        new = held + delta
-        self._holdings.setdefault(cid, {})[gid] = new
-        holders = self._holders.setdefault(gid, {})
-        if cid not in holders:
-            self._pair_order[cid, gid] = len(self._pair_order)
-        holders[cid] = new
-        self._state = self._published(gid, held, new)
+        self._committed[cid, gid] = self._holdings.setdefault(cid, {})[gid] = held + delta
+        self._live = None
         self.goods_seen.add(gid)
         self.events.append(event)
         return self
-
-    def _published(self, gid: str, held: float, new: float) -> _State:
-        """The state after the holding that the last event moved on ``gid``
-        went from ``held`` to ``new``; the current state is left as it is."""
-        state = self._state
-        by_good = dict(state.by_good)
-        inner = {c: a for c, a in self._holders[gid].items() if a > 0}
-        if inner:
-            by_good[gid] = inner
-        else:
-            del by_good[gid]
-        # a replay lists the goods in the order of the first event of each
-        # one's first positive holder
-        order = self._pair_order
-        by_good = {g: by_good[g] for g in sorted(
-            by_good, key=lambda g: order[next(iter(by_good[g])), g])}
-        amounts = {**state.amounts, gid: _exact_sum(state.amounts.get(gid, ()), (-held, new))}
-        roots = state.roots
-        if self._shape is not None:
-            root = self._shape.root
-            roots = {**roots, gid: _exact_sum(roots.get(gid, ()), (-root(held), root(new)))}
-        return _State(by_good, amounts, roots)
 
 
 def _profile_of(good_id: str, amounts: dict[str, float]) -> ContributionProfile:
@@ -263,7 +196,7 @@ def provisional_snapshot(ledger: RoundLedger, tick: int, config: MechanismConfig
     all_goods = ledger.goods_seen | set(goods)
     if cutoff < 0:
         return {g: 0.0 for g in all_goods}
-    by_good = ledger._state_at(cutoff).by_good
+    by_good = ledger._by_good_at(cutoff)
     out = {}
     for g in all_goods:
         out[g] = fund(_profile_of(g, by_good.get(g, {})), config)
@@ -278,13 +211,13 @@ class AgentView:
     ``assurance`` are shared, and ``own_committed`` is a fresh dict of the
     agent's holdings: every good it has held, plus 0.0 for each scenario
     good it has not. The delayed state (as of tick - delay) is pinned by
-    reference: the ledger never changes a state it has published, so it
-    stays as it was when the view was made. From it:
+    reference: the ledger never changes a state once it has built it, so
+    it stays as it was when the view was made. From it:
 
     * ``delayed_commitments`` (fresh dicts, good -> citizen -> positive
-      amount) is built on first access, in O(holders), and kept;
-    * ``others_aggregates`` reads the ledger's exact running sums and
-      copies nothing.
+      amount) is built on first access, in O(holdings), and kept;
+    * ``others_aggregates`` sums one good's others in place, in
+      O(holders), and copies nothing else.
 
     A policy that reads neither pays nothing for the delayed state. A view
     built directly, by position or keyword, holds the
@@ -292,44 +225,39 @@ class AgentView:
     them.
     """
 
-    __slots__ = ("tick", "own_committed", "config", "assurance", "_delayed", "_state")
+    __slots__ = ("tick", "own_committed", "config", "assurance", "_delayed", "_by_good")
 
     def __init__(self, tick: int, delayed_commitments: dict[str, dict[str, float]] | None,
                  own_committed: dict[str, float], config: MechanismConfig,
                  assurance: AssurancePolicy):
         self.tick = tick
-        self._delayed = delayed_commitments
+        self._delayed = self._by_good = delayed_commitments
         self.own_committed = own_committed
         self.config = config
         self.assurance = assurance
-        # the pinned state; it must carry the roots of config's rule
-        self._state: _State | None = None
+
+    @classmethod
+    def _pinned(cls, tick, by_good, own_committed, config, assurance) -> "AgentView":
+        """A view on a by-good state that nothing changes afterwards; its
+        ``delayed_commitments`` are copied out of it on first access."""
+        view = cls(tick, None, own_committed, config, assurance)
+        view._by_good = by_good
+        return view
 
     @property
     def delayed_commitments(self) -> dict[str, dict[str, float]]:
-        if self._delayed is None and self._state is not None:
-            self._delayed = _fresh(self._state.by_good)
+        if self._delayed is None:
+            self._delayed = _fresh(self._by_good)
         return self._delayed
 
     def others_aggregates(self, good: str, citizen_id: str) -> tuple[float, float]:
         """(T_o, A_o) of the delayed state of ``good`` without
-        ``citizen_id``: the rule's root aggregate and the total, each
-        correctly rounded, so with the bits of ``RuleShape.aggregate`` and
-        ``fsum`` over the others' profile."""
+        ``citizen_id``: the rule's root aggregate and the total of the
+        others' profile, as ``best_response_full`` computes them."""
         shape = self.config.shape
         if shape is None:
             raise PolicyError("ONE_P_ONE_V is not a contribution game")
-        state = self._state
-        if state is not None:
-            amounts = state.amounts.get(good, ())
-            roots = state.roots.get(good, ())
-            if amounts is not None and roots is not None:
-                held = state.by_good.get(good)
-                own = held.get(citizen_id, 0.0) if held else 0.0
-                if own:
-                    roots, amounts = roots + (-shape.root(own),), amounts + (-own,)
-                return math.fsum(roots), math.fsum(amounts)
-        others = {cid: amt for cid, amt in self.delayed_commitments.get(good, {}).items()
+        others = {cid: amt for cid, amt in self._by_good.get(good, {}).items()
                   if cid != citizen_id}
         return _aggregates_of(_profile_of(good, others), shape)
 
@@ -451,7 +379,7 @@ def run_round(scenario: Scenario, agents: dict[str, object], window_end: int,
         raise ValueError("delay must be nonnegative")
     policy = assurance or AssurancePolicy()
     config = scenario.mechanism
-    ledger = RoundLedger(window_end, config.shape)
+    ledger = RoundLedger(window_end)
     zeros = dict.fromkeys(scenario.goods, 0.0)
     rng = random.Random(seed)
     ids = sorted(agents)
@@ -461,11 +389,11 @@ def run_round(scenario: Scenario, agents: dict[str, object], window_end: int,
         # for a delay > 0 every event logged in this tick is later than
         # tick - delay, so one lookup serves the whole tick; at delay 0 the
         # view is the live state
-        fixed = ledger._state_at(tick - delay) if delay else None
+        fixed = ledger._by_good_at(tick - delay) if delay else None
         for cid in order:
-            view = AgentView(tick, None, {**zeros, **ledger._holdings.get(cid, zeros)},
-                             config, policy)
-            view._state = ledger._state if fixed is None else fixed
+            view = AgentView._pinned(
+                tick, ledger._by_good() if fixed is None else fixed,
+                {**zeros, **ledger._holdings.get(cid, zeros)}, config, policy)
             action = agents[cid].propose(view)
             if action is None:
                 continue

@@ -154,8 +154,7 @@ def reference_run_round(scenario, agents, window_end, assurance=None, delay=0,
     """``run_round`` with the agent-tick loop it had before views were pinned:
     every agent-tick copies the whole delayed state out of the ledger, rebuilds
     the agent's holdings from ``committed`` (every good it has an event on,
-    after the scenario's goods) and builds its view by keyword, so a myopic
-    agent sums the others' profile itself."""
+    after the scenario's goods) and builds its view by keyword from them."""
     policy = assurance or AssurancePolicy()
     ledger = RoundLedger(window_end)
     rng = random.Random(seed)

@@ -571,7 +571,7 @@ class TestPinnedViews:
         MechanismConfig.pm_qf()], ids=["qf", "cqf0.5", "beta1.5", "linear2",
                                        "private", "pm_qf"])
     @pytest.mark.parametrize("delay", [0, 1])
-    def test_running_aggregates_are_bit_identical(self, config, delay):
+    def test_others_aggregates_are_bit_identical(self, config, delay):
         shape = config.shape
         ids = ["a", "b", "c", "d", "e"]
         checked = []
@@ -639,23 +639,3 @@ class TestAgainstTheEagerLoop:
         led = run_round(sc, agents, window_end=15, delay=0, seed=3)
         assert led.events == []
         assert len(calls) == len(set(calls)) == 5
-
-    def test_aggregates_past_the_float_range_fail_as_a_profile_sum_does(self):
-        # two pledges of 1e308 overflow the running total (QF funds them at
-        # inf); the view then sums the profile and raises fsum's OverflowError
-        sc = Scenario([Citizen(cid, {}) for cid in ("p", "q", "x")], ["g"], QF)
-        seen = []
-
-        class Probe:
-            def propose(self, view):
-                try:
-                    seen.append(view.others_aggregates("g", "x"))
-                except OverflowError as exc:
-                    seen.append(exc)
-
-        agents = {"p": ThresholdPledger("p", {"g": 1e308}),
-                  "q": ThresholdPledger("q", {"g": 1e308}), "x": Probe()}
-        run_round(sc, agents, window_end=3, assurance=AssurancePolicy({"g": 1.0}),
-                  delay=1, seed=0)
-        assert seen[0] == (0.0, 0.0)
-        assert [type(x) for x in seen[1:]] == [OverflowError, OverflowError]
