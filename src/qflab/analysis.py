@@ -129,10 +129,15 @@ def solve_alpha_for_budget(scenario: Scenario, budget: float,
     compares its deficit to the budget. Returns 1.0 when even the pure
     quadratic rule fits, and the smallest representable trial when no
     alpha does (the deficit vanishes only in the alpha -> 0 limit).
-    ``solver_kwargs`` pass through to ``solve_equilibrium``.
+    ``solver_kwargs`` pass through to ``solve_equilibrium``. The bisection
+    stops at a bracket ``alpha_tol`` wide or where its midpoint stops moving.
     """
     if not budget >= 0:
         raise ValueError(f"budget must be nonnegative, got {budget!r}")
+    if not 0.0 < alpha_tol < math.inf:
+        raise ValueError(f"alpha_tol must be a positive finite real, got {alpha_tol!r}")
+    if not 0.0 < alpha_min <= 1.0:
+        raise ValueError(f"alpha_min must lie in (0, 1], got {alpha_min!r}")
     if scenario.mechanism.variant is not Variant.CQF:
         raise ValueError("budget calibration applies to the CQF variant")
 
@@ -153,6 +158,8 @@ def solve_alpha_for_budget(scenario: Scenario, budget: float,
         return lo
     while hi - lo > alpha_tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if deficit_at(mid) <= budget:
             lo = mid
         else:

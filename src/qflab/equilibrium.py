@@ -65,7 +65,7 @@ from .mechanisms import (
     fund,
     settle_deficit,
 )
-from .preferences import Citizen, Family, ValueFunction, aggregate_marginal
+from .preferences import Citizen, Family, ValueFunction, aggregate_marginal, family_marginal
 
 
 @dataclass
@@ -159,11 +159,7 @@ def _global_welfare_argmax(vfs: list[ValueFunction], cost: float) -> float:
 
     F_hi = 1.0
     while F_hi < 1e250:
-        humps_covered = all(
-            vf.family is not Family.SSHAPED or F_hi >= vf.m + 30.0 / vf.k
-            for vf in vfs
-        )
-        if humps_covered and agg(F_hi) < cost:
+        if all(F_hi >= vf.hump_end for vf in vfs) and agg(F_hi) < cost:
             break
         F_hi *= 2.0
     grid = np.unique(np.concatenate([
@@ -207,8 +203,8 @@ def optimal_funding(scenario: Scenario, good_id: str) -> float:
     agg0 = aggregate_marginal([c for c, _ in vals], good_id, 0.0)
     if agg0 <= 1.0:
         return 0.0
-    arrays = _FamilyArrays(list(enumerate(vfs)))
-    return _unit_root(lambda F: float(arrays.marginal(F).sum()))[0]
+    marginals = _member_marginals(vfs)
+    return _unit_root(lambda F: float(marginals(F).sum()))[0]
 
 
 def one_p_one_v_outcome(scenario: Scenario, good_id: str) -> float:
@@ -225,7 +221,7 @@ def one_p_one_v_outcome(scenario: Scenario, good_id: str) -> float:
         vf = c.values.get(good_id)
         if vf is None or vf.a < 0:
             preferred.append(0.0)
-        elif vf.family is Family.SSHAPED:
+        elif not vf.concave:
             preferred.append(_global_welfare_argmax([vf], cost=share))
         elif vf.marginal(0.0) <= share:
             preferred.append(0.0)
@@ -237,19 +233,6 @@ def one_p_one_v_outcome(scenario: Scenario, good_id: str) -> float:
 
 # ---------------------------------------------------------------------------
 # single-citizen best response (robust scalar path)
-
-
-def _family_scale(vf: ValueFunction | None) -> float:
-    if vf is None:
-        return 1.0
-    a = abs(vf.a)
-    if vf.family is Family.SQRT:
-        return (a / 2.0) ** 2 * 4.0 + 1.0
-    if vf.family is Family.LOG:
-        return a * a + 1.0
-    if vf.family is Family.ISOELASTIC:
-        return (a * vf.rho) ** (1.0 / (1.0 - vf.rho)) * 4.0 + 1.0
-    return vf.m + 30.0 / vf.k
 
 
 class _Objective:
@@ -300,14 +283,14 @@ def _maximize_branch(obj: _Objective) -> tuple[float, float]:
     bounded refinement, then a derivative polish where a first-order
     bracket exists. Raises NoSolutionError when the upper bracket passes
     _C_MAX."""
-    c_hi = max(1.0, obj.A_o, obj.T_o * obj.T_o, _family_scale(obj.vf))
-    sshaped = obj.vf is not None and obj.vf.family is Family.SSHAPED
+    vf = obj.vf
+    c_hi = max(1.0, obj.A_o, obj.T_o * obj.T_o, 1.0 if vf is None else vf.bracket_scale)
     for _ in range(200):
         if c_hi > _C_MAX:
             raise NoSolutionError(
                 f"no best response below {_C_MAX:g}: others hold {obj.A_o:g}")
         decreasing = obj.du(c_hi) < 0 and obj.u(c_hi) <= obj.u(0.5 * c_hi)
-        past_hump = not sshaped or obj.F(c_hi) >= obj.vf.m
+        past_hump = vf is None or obj.F(c_hi) >= vf.inflection
         if decreasing and past_hump:
             break
         c_hi *= 2.0
@@ -440,63 +423,26 @@ def best_response(citizen: Citizen, good_id: str, others: ContributionProfile,
 # share-function engine for concave goods
 
 
-_FAM_CODE = {Family.SQRT: 0, Family.LOG: 1, Family.ISOELASTIC: 2}
+def _member_marginals(vfs):
+    """Per-member V'(F) at one level F for concave members: one
+    ``family_marginal`` call per family, with the members grouped once."""
+    by_family = {}
+    for j, vf in enumerate(vfs):
+        by_family.setdefault(vf.family, []).append(j)
+    groups = [(fam, np.array(idx), np.array([vfs[j].a for j in idx]),
+               None if vfs[idx[0]].rho is None else np.array([vfs[j].rho for j in idx]))
+              for fam, idx in by_family.items()]
 
-
-class _FamilyArrays:
-    """Per-good parameter arrays, grouped by family for vectorized marginals."""
-
-    def __init__(self, members: list[tuple[int, ValueFunction]]):
-        n = len(members)
-        self.n = n
-        self.a = np.array([vf.a for _, vf in members], dtype=float)
-        self.rho = np.array(
-            [vf.rho if vf.rho is not None else 0.5 for _, vf in members], dtype=float)
-        fam = np.array([_FAM_CODE[vf.family] for _, vf in members], dtype=int)
-        self.idx_sqrt = np.nonzero(fam == 0)[0]
-        self.idx_log = np.nonzero(fam == 1)[0]
-        self.idx_iso = np.nonzero(fam == 2)[0]
-        # per-family parameters for marginal, gathered once
-        self.a_sqrt = self.a[self.idx_sqrt]
-        self.a_log = self.a[self.idx_log]
-        self.a_rho_iso = self.a[self.idx_iso] * self.rho[self.idx_iso]
-        self.rho_iso_m1 = self.rho[self.idx_iso] - 1.0
-
-    def marginal(self, F: float) -> np.ndarray:
-        """Per-member V'(F) at one level F, on Python floats where the
-        family allows."""
-        F = float(F)
-        clamped = max(F, 1e-300)
-        out = np.empty(self.n)
-        if self.idx_sqrt.size:
-            out[self.idx_sqrt] = self.a_sqrt / (2.0 * math.sqrt(clamped))
-        if self.idx_log.size:
-            out[self.idx_log] = self.a_log / (1.0 + F)
-        if self.idx_iso.size:
-            # a contiguous base: numpy may take another power loop for a
-            # broadcast scalar, with other last bits
-            base = np.full(self.idx_iso.size, clamped)
-            out[self.idx_iso] = self.a_rho_iso * base ** self.rho_iso_m1
+    def marginals(F: float) -> np.ndarray:
+        out = np.empty(len(vfs))
+        for fam, idx, a, rho in groups:
+            out[idx] = family_marginal(fam, F, a, rho)
         return out
 
-    def inverse_marginal(self, target) -> np.ndarray:
-        """Per-member F with V'(F) = target (one for all or one per member),
-        0 where unattainable."""
-        t = np.broadcast_to(np.asarray(target, dtype=float), (self.n,))
-        out = np.zeros(self.n)
-        if self.idx_sqrt.size:
-            i = self.idx_sqrt
-            out[i] = (self.a[i] / (2.0 * t[i])) ** 2
-        if self.idx_log.size:
-            i = self.idx_log
-            out[i] = np.maximum(self.a[i] / t[i] - 1.0, 0.0)
-        if self.idx_iso.size:
-            i = self.idx_iso
-            out[i] = (t[i] / (self.a[i] * self.rho[i])) ** (1.0 / (self.rho[i] - 1.0))
-        return out
+    return marginals
 
 
-def _shares(arrays: _FamilyArrays, lam: np.ndarray, alpha: float, beta: float):
+def _shares(marginals, lam: np.ndarray, alpha: float, beta: float):
     """Each member's equilibrium share w_i(F) of the rule's aggregate.
 
     The quadratic rules are the power family at beta = 2, and CQF mixes in
@@ -505,16 +451,16 @@ def _shares(arrays: _FamilyArrays, lam: np.ndarray, alpha: float, beta: float):
     w = (alpha*m/((1-lam) - (1-alpha)*m))**(1/(beta-1)). A member with
     m > 0 and a nonpositive denominator gains from every further unit, so
     F lies below the root and the share is +inf. The sum falls in F.
+    Near F = 0 a share may overflow to +inf, with numpy's warning.
     """
     power = 1.0 / (beta - 1.0)
+    one_minus_lam = 1.0 - lam
 
     def shares(F: float) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            m = np.maximum(arrays.marginal(F) - lam, 0.0)
-            den = (1.0 - lam) - (1.0 - alpha) * m
-            ratio = np.divide(alpha * m, den, out=np.full(arrays.n, np.inf),
-                              where=den > 0.0)
-            return np.where(m > 0.0, ratio ** power, 0.0)
+        m = np.maximum(marginals(F) - lam, 0.0)
+        den = one_minus_lam - (1.0 - alpha) * m
+        ratio = np.divide(alpha * m, den, out=np.full(lam.size, np.inf), where=den > 0.0)
+        return np.where(m > 0.0, ratio ** power, 0.0)
 
     return shares
 
@@ -548,12 +494,13 @@ def _solve_good_vector(scenario, good_id, config, tolerance):
     lam = np.array(
         [cit.lam if config.deficit_mode is DeficitMode.SHADOW_PRICES else 0.0
          for _, cit, _ in members])
-    arrays = _FamilyArrays([(i, vf) for i, _, vf in members])
     x = np.zeros(len(members))
     shape = config.shape
     if shape.alpha == 0.0:
         scale = shape.scale
-        targets = arrays.inverse_marginal((1.0 + lam * (scale - 1.0)) / scale)
+        level = (1.0 + lam * (scale - 1.0)) / scale
+        targets = np.array([0.0 if vf.marginal(0.0) <= t else vf.inverse_marginal(t)
+                            for (_, _, vf), t in zip(members, level.tolist())])
         F = float(targets.max(initial=0.0))
         if F > 0.0:
             top = targets == F
@@ -561,14 +508,15 @@ def _solve_good_vector(scenario, good_id, config, tolerance):
         return members, x, GoodDiagnostics(True, 0, 0.0, 0.0, "vector")
 
     alpha, beta = shape.alpha, shape.beta
-    shares = _shares(arrays, lam, alpha, beta)
+    shares = _shares(_member_marginals([vf for _, _, vf in members]), lam, alpha, beta)
     iterations, residual = 0, 0.0
-    if shares(0.0).sum() > 1.0:
-        F, iterations = _unit_root(lambda F: float(shares(F).sum()))
-        w = shares(F)
-        residual = abs(float(w.sum()) - 1.0)
-        # c_i = (w_i*T)**beta, where T**beta = F/(alpha + (1-alpha)*sum w**2)
-        x = w ** beta * F / (alpha + (1.0 - alpha) * float(np.sum(w * w)))
+    with np.errstate(over="ignore"):  # shares near F = 0 may pass the float range
+        if shares(0.0).sum() > 1.0:
+            F, iterations = _unit_root(lambda F: float(shares(F).sum()))
+            w = shares(F)
+            residual = abs(float(w.sum()) - 1.0)
+            # c_i = (w_i*T)**beta, where T**beta = F/(alpha + (1-alpha)*sum w**2)
+            x = w ** beta * F / (alpha + (1.0 - alpha) * float(np.sum(w * w)))
     return members, x, GoodDiagnostics(
         residual <= tolerance, iterations, residual, 0.0, "vector")
 
@@ -785,8 +733,7 @@ def _solve_good(scenario, good_id, config, tolerance, max_iters, damping, engine
         if not use_scalar:
             return members, x, diag, None
 
-    vfs = [c.values[good_id] for c in scenario.citizens if good_id in c.values]
-    two_starts = any(vf.family is Family.SSHAPED for vf in vfs)
+    two_starts = any(vf.family is Family.SSHAPED for _, vf in _valuing(scenario, good_id))
     members, x, diag = _solve_good_scalar(
         scenario, good_id, config, tolerance, max_iters, damping)
     alt = None

@@ -151,14 +151,15 @@ class ContributionProfile:
         if len(amounts) != n or len(signs) != n:
             raise ValueError("citizen_ids, amounts and signs differ in length")
         # one C-speed pass each for the common valid case; the entry-by-entry
-        # scan runs only to name the first bad entry (an overflowing sum of
-        # finite amounts also lands there, and passes)
+        # scan runs only to name the first bad entry, and where every entry
+        # is valid the sum has overflowed
         if not (sum(amounts) < math.inf and min(amounts, default=0.0) >= 0
                 and signs.count(1) + signs.count(-1) == n):
             for amount, sign in zip(amounts, signs):
                 error = _entry_error(amount, sign)
                 if error:
                     raise ValueError(error)
+            raise ValueError("amounts sum past the float range")
         index = dict(zip(citizen_ids, range(n)))
         if len(index) != n:
             seen = set()
@@ -375,17 +376,23 @@ def _lone_amount(amounts) -> float | None:
 
 
 def _fund(profile: ContributionProfile, shape: RuleShape, rule: str) -> float:
-    """``fund`` under a shape; ``rule`` names it in a sign error."""
+    """``fund`` under a shape; ``rule`` names it in an error. Raises
+    ValueError where the funding level overflows the float range."""
     if not shape.signed:
         _require_positive_signs(profile, rule)
     amounts = profile.amounts
-    if not shape.alpha:
-        return shape.funding(0.0, math.fsum(amounts))
-    lone = _lone_amount(amounts)
+    lone = _lone_amount(amounts) if shape.alpha else None
     if lone is not None:
         return lone
+    T = shape.aggregate(amounts, profile.signs) if shape.alpha else 0.0
     A = math.fsum(amounts) if shape.alpha < 1.0 else 0.0
-    return shape.funding(shape.aggregate(amounts, profile.signs), A)
+    try:
+        F = shape.funding(T, A)
+    except OverflowError:  # a float ** raises where * gives inf
+        F = math.inf
+    if not F < math.inf:
+        raise ValueError(f"{rule} funding overflows the float range")
+    return F
 
 
 def fund(profile: ContributionProfile, config: MechanismConfig) -> float:
@@ -468,7 +475,10 @@ def evaluate_outcome(profiles, config: MechanismConfig, n_citizens: int) -> Fund
     if n_citizens < 1:
         raise ValueError("n_citizens must be at least 1")
     funding = {p.good_id: fund(p, config) for p in profiles}
-    deficit = math.fsum(funding.values()) - math.fsum(p.total() for p in profiles)
+    try:
+        deficit = math.fsum(funding.values()) - math.fsum(p.total() for p in profiles)
+    except OverflowError:
+        raise ValueError("funding summed over goods overflows the float range") from None
     return FundingOutcome(funding=funding, deficit=deficit,
                           per_capita_tax=deficit / n_citizens)
 
@@ -486,7 +496,10 @@ def settle_deficit(outcome: FundingOutcome, n_citizens: int,
         raise ValueError("n_citizens must be at least 1")
     if minor_unit <= 0:
         raise ValueError("minor_unit must be positive")
-    total_units = round(outcome.deficit / minor_unit)
+    units = outcome.deficit / minor_unit
+    if not abs(units) < math.inf:
+        raise ValueError(f"deficit {outcome.deficit!r} / {minor_unit!r} overflows the float range")
+    total_units = round(units)
     base, rem = divmod(total_units, n_citizens)
     return [(base + 1) * minor_unit if i < rem else base * minor_unit
             for i in range(n_citizens)]

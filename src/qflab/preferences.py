@@ -15,9 +15,15 @@ concave families models a citizen harmed by the good (value decreasing in
 F), which is what lets signed-contribution scenarios produce genuinely
 negative marginal values; the concavity invariants apply to a > 0.
 
-``value`` and ``marginal`` take a Python float or int F (``np.float64``
-is a float) on Python floats, and anything else as an array. Each
-family's float arithmetic is chosen to give the array path's bits.
+Every family formula, parameter name (``FAMILY_PARAMS``, read by
+``ValueFunction`` and the scenario parser) and bracket constant
+(``bracket_scale``, ``hump_end``, ``inflection``) lives here; other modules
+branch on a family only to route a good to an engine. ``value`` and
+``marginal`` take a Python float or int F (``np.float64`` is a float) on
+Python floats, with the array path's bits, and anything else as an array.
+The array form of V' is ``family_marginal``: ``ValueFunction.marginal``
+calls it with one citizen's parameters, the vector engine with one per
+member.
 """
 
 from __future__ import annotations
@@ -45,6 +51,14 @@ _SQRT = Family.SQRT
 _LOG = Family.LOG
 _ISOELASTIC = Family.ISOELASTIC
 _SSHAPED = Family.SSHAPED
+
+# each family's parameters, in the order a missing one is reported
+FAMILY_PARAMS = {
+    Family.SQRT: ("a",),
+    Family.LOG: ("a",),
+    Family.ISOELASTIC: ("a", "rho"),
+    Family.SSHAPED: ("a", "k", "m"),
+}
 
 
 def _as_float_array(F):
@@ -74,6 +88,28 @@ def _expit_array(x) -> np.ndarray:
     return np.where(high, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+def family_marginal(family, F, a, rho=None, k=None, m=None):
+    """V'(F) of one family on numpy values, F an array or a float and the
+    parameters scalars or one per member. SQRT and ISOELASTIC clamp F at
+    1e-300, so F = 0 gives a large finite value, not their infinite limit."""
+    if family is _LOG:
+        return a / (1.0 + F)
+    if family is _SSHAPED:
+        sig = _expit_array(k * (F - m))
+        return a * k * sig * (1.0 - sig)
+    if isinstance(F, np.ndarray):
+        F = np.maximum(F, 1e-300)
+    else:
+        F = max(F, 1e-300)
+        if isinstance(rho, np.ndarray):
+            # a contiguous base: numpy may take another power loop for a
+            # broadcast scalar, with other last bits
+            F = np.full(rho.shape, F)
+    if family is _SQRT:
+        return a / (2.0 * np.sqrt(F))
+    return a * rho * F ** (rho - 1.0)
+
+
 @dataclass(frozen=True)
 class ValueFunction:
     family: Family
@@ -85,19 +121,19 @@ class ValueFunction:
     def __post_init__(self):
         if self.a == 0 or not math.isfinite(self.a):
             raise ValueError("weight a must be a nonzero finite real")
-        if self.family is Family.ISOELASTIC:
-            if self.rho is None or not (0.0 < self.rho < 1.0):
-                raise ValueError(f"ISOELASTIC requires rho in (0, 1), got {self.rho!r}")
-        elif self.rho is not None:
-            raise ValueError("rho only applies to ISOELASTIC")
-        if self.family is Family.SSHAPED:
+        params = FAMILY_PARAMS[self.family]
+        for name in ("rho", "k", "m"):
+            if getattr(self, name) is not None and name not in params:
+                owner = next(f for f, p in FAMILY_PARAMS.items() if name in p)
+                raise ValueError(f"{name} only applies to {owner.value}")
+        if self.family is _ISOELASTIC and (self.rho is None or not 0.0 < self.rho < 1.0):
+            raise ValueError(f"ISOELASTIC requires rho in (0, 1), got {self.rho!r}")
+        if self.family is _SSHAPED:
             if self.a < 0:
                 raise ValueError("SSHAPED requires a > 0")
             if not (self.k is not None and 0 < self.k < math.inf
                     and self.m is not None and 0 < self.m < math.inf):
                 raise ValueError("SSHAPED requires finite k > 0 and m > 0")
-        elif self.k is not None or self.m is not None:
-            raise ValueError("k and m only apply to SSHAPED")
 
     @classmethod
     def sqrt(cls, a: float) -> "ValueFunction":
@@ -118,6 +154,28 @@ class ValueFunction:
     @property
     def concave(self) -> bool:
         return self.family is not Family.SSHAPED and self.a > 0
+
+    @property
+    def inflection(self) -> float:
+        """SSHAPED's m, where V turns from convex to concave; else 0."""
+        return self.m if self.family is _SSHAPED else 0.0
+
+    @property
+    def hump_end(self) -> float:
+        """m + 30/k, where an SSHAPED marginal is ~e**-30 of its peak; else 0."""
+        return self.m + 30.0 / self.k if self.family is _SSHAPED else 0.0
+
+    @property
+    def bracket_scale(self) -> float:
+        """Start of a search bracket: 4 x (level where |V'| = 1) + 1, or hump_end."""
+        a = abs(self.a)
+        if self.family is _SQRT:
+            return (a / 2.0) ** 2 * 4.0 + 1.0
+        if self.family is _LOG:
+            return a * a + 1.0
+        if self.family is _ISOELASTIC:
+            return (a * self.rho) ** (1.0 / (1.0 - self.rho)) * 4.0 + 1.0
+        return self.hump_end
 
     def value(self, F):
         """V(F); accepts a scalar or an ndarray. V(0) = 0 for every family.
@@ -172,19 +230,9 @@ class ValueFunction:
             return self.a * self.rho * F ** (self.rho - 1.0)
         arr = _as_float_array(F)
         fam = self.family
-        with np.errstate(divide="ignore"):
-            if fam is _SQRT:
-                out = np.where(arr > 0, self.a / (2.0 * np.sqrt(np.maximum(arr, 1e-300))),
-                               math.copysign(math.inf, self.a))
-            elif fam is _LOG:
-                out = self.a / (1.0 + arr)
-            elif fam is _ISOELASTIC:
-                out = np.where(arr > 0,
-                               self.a * self.rho * np.maximum(arr, 1e-300) ** (self.rho - 1.0),
-                               math.copysign(math.inf, self.a))
-            else:
-                sig = _expit_array(self.k * (arr - self.m))
-                out = self.a * self.k * sig * (1.0 - sig)
+        out = family_marginal(fam, arr, self.a, self.rho, self.k, self.m)
+        if fam is _SQRT or fam is _ISOELASTIC:
+            out = np.where(arr > 0, out, math.copysign(math.inf, self.a))
         return out if arr.ndim else float(out)
 
     def inverse_marginal(self, target: float) -> float:
@@ -242,17 +290,11 @@ def aggregate_marginal(citizens, good_id: str, F: float) -> float:
     diverges, and nan when +inf and -inf meet (only possible with opposed
     infinite-marginal families at F=0).
     """
-    terms = [c.values[good_id].marginal(F) for c in citizens if good_id in c.values]
-    finite = [t for t in terms if math.isfinite(t)]
-    pos_inf = any(t == math.inf for t in terms)
-    neg_inf = any(t == -math.inf for t in terms)
-    if pos_inf and neg_inf:
+    try:
+        return math.fsum(c.values[good_id].marginal(F) for c in citizens
+                         if good_id in c.values)
+    except ValueError:  # fsum's -inf + inf
         return math.nan
-    if pos_inf:
-        return math.inf
-    if neg_inf:
-        return -math.inf
-    return math.fsum(finite)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from .mechanisms import (
     Variant,
     _entry_error,
 )
-from .preferences import Citizen, Family, ValueFunction
+from .preferences import FAMILY_PARAMS, Citizen, Family, ValueFunction
 from .equilibrium import Scenario
 
 _TOP_KEYS = {"mechanism", "goods", "citizens", "budget", "round"}
@@ -30,12 +30,6 @@ _CITIZEN_KEYS = {"id", "lambda", "values"}
 _VALUE_KEYS = {"family", "params"}
 _ROUND_KEYS = {"window_end", "seed", "delay", "assurance", "agents"}
 _AGENT_KEYS = {"policy", "shares"}
-_FAMILY_PARAMS = {
-    Family.SQRT: {"a"},
-    Family.LOG: {"a"},
-    Family.ISOELASTIC: {"a", "rho"},
-    Family.SSHAPED: {"a", "k", "m"},
-}
 
 
 @dataclass(frozen=True)
@@ -53,8 +47,8 @@ class RoundSpec:
     agents: dict[str, AgentSpec] = field(default_factory=dict)
 
 
-def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
-    unknown = set(obj) - allowed
+def _reject_unknown(obj: dict, allowed, where: str) -> None:
+    unknown = set(obj).difference(allowed)
     if unknown:
         raise ScenarioFormatError(
             f"{where}: unknown keys {sorted(unknown)} (allowed: {sorted(allowed)})")
@@ -79,18 +73,14 @@ def _parse_value_function(spec, where: str) -> ValueFunction:
     params = spec.get("params")
     if not isinstance(params, dict):
         raise ScenarioFormatError(f"{where}: params must be an object")
-    _reject_unknown(params, _FAMILY_PARAMS[family], f"{where}.params")
+    names = FAMILY_PARAMS[family]
+    _reject_unknown(params, names, f"{where}.params")
     kwargs = {k: _number(v, f"{where}.params.{k}") for k, v in params.items()}
+    missing = [k for k in names if k not in kwargs]
+    if missing:
+        raise ScenarioFormatError(f"{where}: missing param {missing[0]!r}")
     try:
-        if family is Family.SQRT:
-            return ValueFunction.sqrt(kwargs["a"])
-        if family is Family.LOG:
-            return ValueFunction.log(kwargs["a"])
-        if family is Family.ISOELASTIC:
-            return ValueFunction.isoelastic(kwargs["a"], kwargs["rho"])
-        return ValueFunction.sshaped(kwargs["a"], kwargs["k"], kwargs["m"])
-    except KeyError as e:
-        raise ScenarioFormatError(f"{where}: missing param {e}") from None
+        return ValueFunction(family, **kwargs)
     except ValueError as e:
         raise ScenarioFormatError(f"{where}: {e}") from None
 

@@ -104,6 +104,28 @@ class TestAlphaForBudget:
         with pytest.raises(ValueError):
             solve_alpha_for_budget(sc, 1.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"alpha_tol": 0.0}, {"alpha_tol": -1e-4}, {"alpha_tol": math.nan},
+        {"alpha_tol": math.inf}, {"alpha_min": 0.0}, {"alpha_min": -0.5},
+        {"alpha_min": 1.5}, {"alpha_min": math.nan},
+    ])
+    def test_bad_bisection_settings_raise_before_any_solve(self, monkeypatch, kwargs):
+        # alpha_tol = 0 once bisected forever between adjacent floats, and
+        # NaN returned alpha_min without a word
+        def no_solve(*args, **kw):
+            raise AssertionError("solved before the settings were checked")
+
+        monkeypatch.setattr("qflab.analysis.solve_equilibrium", no_solve)
+        sc = sqrt_scenario([1.0, 2.0, 3.0], MechanismConfig.cqf(0.5))
+        with pytest.raises(ValueError, match="alpha_tol|alpha_min"):
+            solve_alpha_for_budget(sc, 1.0, **kwargs)
+
+    def test_tiny_tolerance_stops_at_adjacent_floats(self):
+        sc = sqrt_scenario([1.0, 2.0, 3.0], MechanismConfig.cqf(0.5))
+        budget = solve_equilibrium(sc).deficit
+        got = solve_alpha_for_budget(sc, budget, alpha_tol=1e-300)
+        assert got == pytest.approx(0.5, abs=1e-9)
+
 
 class TestDistortionUniformity:
     def test_single_good_degenerate_max(self):

@@ -74,6 +74,27 @@ class TestFund:
         assert main(["fund", path, "--variant", "QF"]) == 2
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rule", [
+        ["QF"], ["CQF", "--alpha", "0.5"], ["PRIVATE"], ["LINEAR_MATCH", "--scale", "2"],
+        ["BETA", "--beta", "1.5"], ["PM_QF"],
+    ])
+    @pytest.mark.parametrize("amounts", [[1e308] * 2, [1e307] * 10])
+    def test_overflowing_amounts_exit_2(self, tmp_path, capsys, rule, amounts):
+        rows = "".join(f"c{i},g,{x!r}\n" for i, x in enumerate(amounts))
+        path = write(tmp_path, "c.csv", "citizen_id,good_id,amount\n" + rows)
+        code = main(["fund", path, "--variant", *rule])
+        err = capsys.readouterr().err
+        if rule == ["PRIVATE"] and len(amounts) == 10:
+            assert code == 0  # 1e308 in total, inside the float range
+        else:
+            assert code == 2
+            assert "float range" in err and "Traceback" not in err
+
+    def test_overflowing_total_over_goods_exit_2(self, tmp_path, capsys):
+        path = write(tmp_path, "c.csv", "citizen_id,good_id,amount\na,g,1e308\nb,h,1e308\n")
+        assert main(["fund", path, "--variant", "PRIVATE"]) == 2
+        assert "float range" in capsys.readouterr().err
+
     def test_oversized_field_exit_2(self, tmp_path, capsys):
         path = write(tmp_path, "c.csv", CONTRIB + "x" * 140_000 + ",g,1\n")
         assert main(["fund", path, "--variant", "QF"]) == 2

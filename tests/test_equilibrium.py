@@ -287,6 +287,40 @@ class TestSolveEquilibrium:
             assert got.converged
             assert got.funding["g"] == pytest.approx(want.funding["g"], rel=1e-6)
 
+    @pytest.mark.parametrize("cfg", [
+        MechanismConfig.private(), MechanismConfig.linear_match(2.0),
+        MechanismConfig.linear_match(2.0, deficit_mode=DeficitMode.SHADOW_PRICES),
+    ])
+    def test_linear_targets_are_each_members_inverse_marginal(self, rng, cfg):
+        scale = cfg.shape.scale
+        shadow = cfg.deficit_mode is DeficitMode.SHADOW_PRICES
+        for trial in range(20):
+            cits = random_concave_citizens(rng, int(rng.integers(1, 12)))
+            if shadow:
+                for c in cits:
+                    c.lam = float(rng.uniform(0.0, 0.6))
+            # LOG members with a = t and a < t: V'(0) = a <= t, so their
+            # target is 0 (inverse_marginal raises for a < t)
+            for j, factor in enumerate((1.0, 0.5, 0.99)):
+                lam = float(rng.uniform(0.0, 0.6)) if shadow else 0.0
+                t = (1.0 + lam * (scale - 1.0)) / scale
+                cits.append(Citizen(f"log{j}", {"g": ValueFunction.log(factor * t)}, lam=lam))
+            if trial % 2:
+                cits = cits[-3:]  # only those: nobody pays
+            sc = Scenario(cits, ["g"], cfg)
+            members, x, diag = eq._solve_good_vector(sc, "g", cfg, 1e-8)
+            targets = []
+            for _, cit, vf in members:
+                t = (1.0 + (cit.lam if shadow else 0.0) * (scale - 1.0)) / scale
+                targets.append(0.0 if vf.marginal(0.0) <= t else vf.inverse_marginal(t))
+            F = max(targets, default=0.0)
+            n_top = targets.count(F)
+            want = [F / scale / n_top if F > 0.0 and T == F else 0.0 for T in targets]
+            assert x.tolist() == want
+            assert diag.converged
+            if trial % 2:
+                assert F == 0.0
+
     def test_private_top_contributor_only(self):
         # the near-tie took the damped iteration ~2/(damping * gap) sweeps
         for weights in ([2.0, 4.0, 6.0], [2.0, 2.0 * (1 + 1e-9)]):

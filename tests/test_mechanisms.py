@@ -242,9 +242,28 @@ class TestProfileContract:
                 0.3 * qf(p) + (1.0 - 0.3) * private
             assert fund_cqf(p, 0.3) == cqf
 
-    def test_finite_amounts_whose_sum_overflows_are_valid(self):
-        p = ContributionProfile.from_amounts("g", [1e308, 1e308])
-        assert p.amounts == (1e308, 1e308)
+    def test_finite_amounts_whose_sum_overflows_are_rejected(self):
+        # every rule sums the amounts, in A or in the deficit, so no rule can
+        # fund such a profile
+        for build in (lambda: ContributionProfile.from_amounts("g", [1e308, 1e308]),
+                      lambda: ContributionProfile("g", [Contribution("a", 1e308),
+                                                        Contribution("b", 1e308)])):
+            with pytest.raises(ValueError, match="amounts sum past the float range"):
+                build()
+        assert profile([1e308, 7.9e307]).total() < math.inf
+
+    @pytest.mark.parametrize("config", [
+        MechanismConfig.qf(), MechanismConfig.cqf(0.5), MechanismConfig.linear_match(2.0),
+        MechanismConfig.beta_rule(1.5), MechanismConfig.pm_qf(),
+    ], ids=lambda c: c.variant.value)
+    def test_funding_past_the_float_range_raises(self, config):
+        # the amounts sum to 1e308, inside the range; the funding does not
+        with pytest.raises(ValueError, match=f"{config.variant.value} funding overflows"):
+            fund(profile([1e307] * 10), config)
+
+    def test_private_funding_of_a_finite_sum_is_finite(self):
+        assert fund(profile([1e307] * 10), MechanismConfig.private()) == \
+            math.fsum([1e307] * 10)
 
 
 class TestGradient:
@@ -426,3 +445,14 @@ class TestOutcomeAndTaxes:
             settle_deficit(out, 0)
         with pytest.raises(ValueError):
             evaluate_outcome([profile([1])], MechanismConfig.qf(), 0)
+
+    def test_funding_summed_over_goods_past_the_float_range_raises(self):
+        profs = [profile([1e308], good="g"), profile([1e308], good="h")]
+        with pytest.raises(ValueError, match="overflows the float range"):
+            evaluate_outcome(profs, MechanismConfig.private(), 2)
+
+    def test_settle_rejects_a_deficit_past_the_range_in_minor_units(self):
+        # 9e300 / 1e-9 is inf; rounding it once raised OverflowError
+        out = evaluate_outcome([profile([1e299] * 10)], MechanismConfig.qf(), 10)
+        with pytest.raises(ValueError, match="overflows the float range"):
+            settle_deficit(out, 10)

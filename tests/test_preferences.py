@@ -74,8 +74,14 @@ class TestValue:
             ValueFunction.sshaped(-1, 1, 5)
         with pytest.raises(ValueError):
             ValueFunction.sshaped(1, 0, 5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="rho only applies to ISOELASTIC"):
             ValueFunction(Family.SQRT, 1.0, rho=0.5)
+        with pytest.raises(ValueError, match="k only applies to SSHAPED"):
+            ValueFunction(Family.LOG, 1.0, k=0.5)
+        with pytest.raises(ValueError, match="m only applies to SSHAPED"):
+            ValueFunction(Family.ISOELASTIC, 1.0, rho=0.5, m=0.5)
+        with pytest.raises(ValueError, match="ISOELASTIC requires rho"):
+            ValueFunction(Family.ISOELASTIC, 1.0)
 
 
     @pytest.mark.parametrize("k, m", [(math.nan, 30.0), (0.5, math.nan), (math.inf, 30.0),
@@ -187,29 +193,32 @@ class TestFloatPath:
                 with pytest.raises(ValueError, match="funding level must be nonnegative"):
                     getattr(vf, method)(np.asarray(F, dtype=float))
 
-    def test_family_arrays(self, rng):
-        from qflab.equilibrium import _FamilyArrays
+    def test_member_marginals(self, rng):
+        from qflab.equilibrium import _member_marginals
 
-        def array_reference(arrays, F):
+        def array_reference(vfs, F):
             # the per-member array evaluation, gathered on each call
-            F = np.broadcast_to(np.asarray(F, dtype=float), (arrays.n,))
-            out = np.empty(arrays.n)
-            a, rho = arrays.a, arrays.rho
-            i = arrays.idx_sqrt
+            n = len(vfs)
+            F = np.broadcast_to(np.asarray(F, dtype=float), (n,))
+            out = np.empty(n)
+            a = np.array([vf.a for vf in vfs])
+            rho = np.array([vf.rho or 0.5 for vf in vfs])
+            fam = [vf.family.value for vf in vfs]
+            i = np.array([j for j in range(n) if fam[j] == "SQRT"], dtype=int)
             out[i] = a[i] / (2.0 * np.sqrt(np.maximum(F[i], 1e-300)))
-            i = arrays.idx_log
+            i = np.array([j for j in range(n) if fam[j] == "LOG"], dtype=int)
             out[i] = a[i] / (1.0 + F[i])
-            i = arrays.idx_iso
+            i = np.array([j for j in range(n) if fam[j] == "ISOELASTIC"], dtype=int)
             out[i] = a[i] * rho[i] * np.maximum(F[i], 1e-300) ** (rho[i] - 1.0)
             return out
 
         for n in (1, 5, 40):
             vfs = [vf for _ in range(n) for vf in signed_families(rng)[1:]]
-            arrays = _FamilyArrays(list(enumerate(vfs)))
+            marginals = _member_marginals(vfs)
             Fs = np.concatenate([self.EDGES, np.exp(rng.uniform(-40.0, 40.0, 30))])
             for F in Fs.tolist():
-                got = arrays.marginal(F)
-                want = array_reference(arrays, F)
+                got = marginals(F)
+                want = array_reference(vfs, F)
                 assert got.shape == want.shape == (len(vfs),)
                 assert all(same_bits(x, y) for x, y in zip(got.tolist(), want.tolist())), F
 

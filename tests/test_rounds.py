@@ -202,6 +202,14 @@ class TestSettlement:
         s = assurance_settlement(led, AssurancePolicy({"g": 0.0}), QF)["g"]
         assert s.status is SettlementStatus.FUNDED
 
+    def test_pledges_summing_past_the_float_range_do_not_settle(self):
+        # two such pledges once settled FUNDED at inf under QF
+        led = RoundLedger(window_end=5)
+        contribute(led, 0, "a", "g", 1e308)
+        contribute(led, 0, "b", "g", 1e308)
+        with pytest.raises(ValueError, match="float range"):
+            assurance_settlement(led, AssurancePolicy({"g": 1.0}), QF)
+
 
 class TestRunRound:
     def test_myopic_agents_reach_static_equilibrium(self):

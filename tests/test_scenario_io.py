@@ -54,6 +54,46 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioFormatError, match="rho"):
             parse_scenario(data)
 
+    FAMILY_PARAMS = {
+        "SQRT": {"a": 2.0},
+        "LOG": {"a": 2.0},
+        "ISOELASTIC": {"a": 2.0, "rho": 0.5},
+        "SSHAPED": {"a": 2.0, "k": 1.0, "m": 5.0},
+    }
+
+    @pytest.mark.parametrize("family", FAMILY_PARAMS)
+    def test_each_family_parses_its_params(self, family):
+        data = base_scenario()
+        data["citizens"][0]["values"]["g"] = {
+            "family": family.lower(), "params": self.FAMILY_PARAMS[family]}
+        vf = parse_scenario(data)[0].citizens[0].values["g"]
+        assert vf.family.value == family
+        assert {k: getattr(vf, k) for k in self.FAMILY_PARAMS[family]} == \
+            self.FAMILY_PARAMS[family]
+
+    @pytest.mark.parametrize("family, extra", [
+        (f, k) for f, params in FAMILY_PARAMS.items() for k in ("rho", "k", "m", "b")
+        if k not in params])
+    def test_unknown_param_rejected_for_each_family(self, family, extra):
+        params = {**self.FAMILY_PARAMS[family], extra: 0.5}
+        data = base_scenario()
+        data["citizens"][0]["values"]["g"] = {"family": family, "params": params}
+        allowed = sorted(self.FAMILY_PARAMS[family])
+        with pytest.raises(ScenarioFormatError) as e:
+            parse_scenario(data)
+        assert str(e.value) == (f"citizens[0].values.g.params: unknown keys "
+                                f"[{extra!r}] (allowed: {allowed})")
+
+    @pytest.mark.parametrize("family, missing", [
+        (f, k) for f, params in FAMILY_PARAMS.items() for k in params])
+    def test_missing_param_named_for_each_family(self, family, missing):
+        params = {k: v for k, v in self.FAMILY_PARAMS[family].items() if k != missing}
+        data = base_scenario()
+        data["citizens"][0]["values"]["g"] = {"family": family, "params": params}
+        with pytest.raises(ScenarioFormatError) as e:
+            parse_scenario(data)
+        assert str(e.value) == f"citizens[0].values.g: missing param {missing!r}"
+
     def test_unknown_good_reference_rejected(self):
         data = base_scenario()
         data["citizens"][0]["values"]["mystery"] = {
