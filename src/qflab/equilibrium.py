@@ -425,18 +425,23 @@ def best_response(citizen: Citizen, good_id: str, others: ContributionProfile,
 
 def _member_marginals(vfs):
     """Per-member V'(F) at one level F for concave members: one
-    ``family_marginal`` call per family, with the members grouped once."""
+    ``family_marginal`` call per family, with the members grouped once and
+    an ISOELASTIC group's a*rho and rho - 1 formed once."""
     by_family = {}
     for j, vf in enumerate(vfs):
         by_family.setdefault(vf.family, []).append(j)
-    groups = [(fam, np.array(idx), np.array([vfs[j].a for j in idx]),
-               None if vfs[idx[0]].rho is None else np.array([vfs[j].rho for j in idx]))
-              for fam, idx in by_family.items()]
+    groups = []
+    for fam, idx in by_family.items():
+        a, e = np.array([vfs[j].a for j in idx]), None
+        if fam is Family.ISOELASTIC:
+            rho = np.array([vfs[j].rho for j in idx])
+            a, e = a * rho, rho - 1.0
+        groups.append((fam, np.array(idx), a, e))
 
     def marginals(F: float) -> np.ndarray:
         out = np.empty(len(vfs))
-        for fam, idx, a, rho in groups:
-            out[idx] = family_marginal(fam, F, a, rho)
+        for fam, idx, a, e in groups:
+            out[idx] = family_marginal(fam, F, a, e)
         return out
 
     return marginals

@@ -29,12 +29,14 @@ columns (citizen ids, amounts, signs), validated once, in one constructor
 path, whichever way the profile is built. The rules read the columns
 directly, with ``math.sqrt`` and ``math.fsum`` on Python floats, so no
 ``Contribution`` object is made per entry; ``profile.entries`` builds
-those on first access, for callers that want them.
+those on first access, for callers that want them, and ``profile.get``
+builds its id index on its first call.
 
 Everything in this module is a pure function of its arguments, and
-profiles are immutable (the lazily cached ``entries`` is the same data),
-so values are freely shareable across threads and per-good evaluations
-can run in parallel.
+profiles are immutable: the lazily cached ``entries`` and id index are
+built from the immutable columns, so two threads that race to build one
+build equal values. Values are freely shareable across threads and
+per-good evaluations can run in parallel.
 """
 
 from __future__ import annotations
@@ -102,9 +104,10 @@ class ContributionProfile:
     entries)``, ``from_amounts`` and ``from_columns`` all end in one
     validating constructor path: every amount finite and nonnegative, every
     sign +1 or -1, no citizen twice. ``entries``, the same data as a tuple
-    of ``Contribution``, is built on first access and cached; ``get`` looks
-    a citizen up in a dict index. Equality, hashing and ``repr`` are over
-    the columns.
+    of ``Contribution``, is built on first access and cached; so is the
+    dict index from citizen id to position that ``get`` looks a citizen up
+    in, which no funding rule reads. Equality, hashing and ``repr`` are
+    over the columns.
     """
 
     good_id: str
@@ -160,8 +163,7 @@ class ContributionProfile:
                 if error:
                     raise ValueError(error)
             raise ValueError("amounts sum past the float range")
-        index = dict(zip(citizen_ids, range(n)))
-        if len(index) != n:
+        if len(set(citizen_ids)) != n:
             seen = set()
             for cid in citizen_ids:
                 if cid in seen:
@@ -171,11 +173,14 @@ class ContributionProfile:
         object.__setattr__(self, "citizen_ids", citizen_ids)
         object.__setattr__(self, "amounts", amounts)
         object.__setattr__(self, "signs", signs)
-        self.__dict__["_index"] = index
 
     @cached_property
     def entries(self) -> tuple[Contribution, ...]:
         return tuple(map(Contribution, self.citizen_ids, self.amounts, self.signs))
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return dict(zip(self.citizen_ids, range(len(self.citizen_ids))))
 
     def nonzero(self) -> tuple[Contribution, ...]:
         """The entries with a positive amount: the ones any rule counts."""

@@ -23,7 +23,7 @@ branch on a family only to route a good to an engine. ``value`` and
 Python floats, with the array path's bits, and anything else as an array.
 The array form of V' is ``family_marginal``: ``ValueFunction.marginal``
 calls it with one citizen's parameters, the vector engine with one per
-member.
+member, ISOELASTIC's formed once per solve.
 """
 
 from __future__ import annotations
@@ -88,9 +88,11 @@ def _expit_array(x) -> np.ndarray:
     return np.where(high, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def family_marginal(family, F, a, rho=None, k=None, m=None):
+def family_marginal(family, F, a, e=None, k=None, m=None):
     """V'(F) of one family on numpy values, F an array or a float and the
-    parameters scalars or one per member. SQRT and ISOELASTIC clamp F at
+    parameters scalars or one per member. ISOELASTIC's V' is (a*rho) *
+    F**(rho - 1), so it takes ``a`` = a*rho and ``e`` = rho - 1, formed once
+    by a caller that evaluates many F. SQRT and ISOELASTIC clamp F at
     1e-300, so F = 0 gives a large finite value, not their infinite limit."""
     if family is _LOG:
         return a / (1.0 + F)
@@ -101,13 +103,13 @@ def family_marginal(family, F, a, rho=None, k=None, m=None):
         F = np.maximum(F, 1e-300)
     else:
         F = max(F, 1e-300)
-        if isinstance(rho, np.ndarray):
+        if isinstance(e, np.ndarray):
             # a contiguous base: numpy may take another power loop for a
             # broadcast scalar, with other last bits
-            F = np.full(rho.shape, F)
+            F = np.full(e.shape, F)
     if family is _SQRT:
         return a / (2.0 * np.sqrt(F))
-    return a * rho * F ** (rho - 1.0)
+    return a * F ** e
 
 
 @dataclass(frozen=True)
@@ -230,7 +232,10 @@ class ValueFunction:
             return self.a * self.rho * F ** (self.rho - 1.0)
         arr = _as_float_array(F)
         fam = self.family
-        out = family_marginal(fam, arr, self.a, self.rho, self.k, self.m)
+        if fam is _ISOELASTIC:
+            out = family_marginal(fam, arr, self.a * self.rho, self.rho - 1.0)
+        else:
+            out = family_marginal(fam, arr, self.a, None, self.k, self.m)
         if fam is _SQRT or fam is _ISOELASTIC:
             out = np.where(arr > 0, out, math.copysign(math.inf, self.a))
         return out if arr.ndim else float(out)

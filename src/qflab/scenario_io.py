@@ -241,15 +241,20 @@ def parse_contributions_csv(source) -> list[ContributionProfile]:
     is the one reported; a citizen listed twice on a good is reported after
     every row has passed. Each good's rows go into its profile's columns
     directly, without a ``Contribution`` per row.
+
+    A path is read as a stream, record by record, never whole; a string
+    holding a line break is the table itself. Each distinct citizen id is
+    stored once, as one ``str`` shared by that citizen's profiles.
     """
-    if isinstance(source, (str, Path)) and "\n" not in str(source):
-        with open(source, newline="") as f:
-            text = f.read()
-    else:
-        text = str(source)
     # newline="": records may end in \n, \r\n or \r, and a quoted \r or
     # \r\n inside an id is kept as written
-    reader = csv.reader(io.StringIO(text, newline=""))
+    if isinstance(source, (str, Path)) and "\n" not in str(source):
+        with open(source, newline="") as f:
+            return _parse_contributions(csv.reader(f))
+    return _parse_contributions(csv.reader(io.StringIO(str(source), newline="")))
+
+
+def _parse_contributions(reader) -> list[ContributionProfile]:
     try:
         header = next(reader)
     except StopIteration:
@@ -267,6 +272,7 @@ def parse_contributions_csv(source) -> list[ContributionProfile]:
     si = idx.get("sign", -1)
     min_fields = max(len(required), ci + 1, gi + 1, ai + 1)
     columns: dict[str, tuple[list, list, list]] = {}
+    shared: dict[str, str] = {}  # each distinct id's first str, used by its rows
     inf = math.inf
     lineno = 1
     try:
@@ -301,7 +307,7 @@ def parse_contributions_csv(source) -> list[ContributionProfile]:
             good = columns.get(gid)
             if good is None:
                 good = columns[gid] = ([], [], [])
-            good[0].append(cid)
+            good[0].append(shared.setdefault(cid, cid))
             good[1].append(amount)
             good[2].append(sign)
     except csv.Error as e:

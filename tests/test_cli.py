@@ -95,6 +95,26 @@ class TestFund:
         assert main(["fund", path, "--variant", "PRIVATE"]) == 2
         assert "float range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("utf8", ["1", "0"])
+    def test_undecodable_row_exit_2(self, tmp_path, utf8):
+        # The file is decoded as it streams. Where the locale's encoding
+        # rejects the byte (UTF-8, or ASCII under the C locale with UTF-8
+        # mode off), decoding fails mid-file with a ValueError; where it
+        # takes it (a single-byte locale), the row's amount is not a number.
+        # Either way the process exits 2 with a one-line error.
+        path = tmp_path / "c.csv"
+        path.write_bytes(b"citizen_id,good_id,amount\na,g,1\nb,g,\xff\n")
+        src = str(Path(qflab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONUTF8": utf8,
+               "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "qflab.cli", "fund", str(path), "--variant", "QF"],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("qflab: error: ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     def test_oversized_field_exit_2(self, tmp_path, capsys):
         path = write(tmp_path, "c.csv", CONTRIB + "x" * 140_000 + ",g,1\n")
         assert main(["fund", path, "--variant", "QF"]) == 2

@@ -159,6 +159,15 @@ class TestProfileContract:
         assert from_entries != ContributionProfile.from_amounts("g", self.AMOUNTS)
         assert from_entries != ContributionProfile.from_amounts("h", self.AMOUNTS, self.SIGNS)
 
+    def test_get_finds_present_zero_and_absent_ids(self):
+        p = ContributionProfile.from_columns("g", ["z", "a", "m"], [3.0, 0.0, 2.0], [1, -1, 1])
+        assert p.total() == 5.0 and len(p.entries) == 3
+        assert "_index" not in p.__dict__
+        assert p.get("z") == Contribution("z", 3.0)
+        assert p.get("a") == Contribution("a", 0.0, -1)
+        assert p.get("absent") is None
+        assert p.get("m") == Contribution("m", 2.0)
+
     def test_entries_keep_input_order_as_contributions(self):
         p = ContributionProfile.from_columns("g", ["z", "a", "m"], [3.0, 1.0, 2.0], [1, -1, 1])
         assert all(type(e) is Contribution for e in p.entries)
@@ -171,7 +180,9 @@ class TestProfileContract:
     def test_get_uses_the_index(self):
         n = 10_000
         p = ContributionProfile.from_amounts("g", [1.0 + i for i in range(n)])
+        assert "_index" not in p.__dict__  # built on the first get(), not kept before
         assert p.get(f"c{n - 1}") == Contribution(f"c{n - 1}", float(n))
+        assert "_index" in p.__dict__
         assert p.get("c0") == Contribution("c0", 1.0)
         assert p.get("absent") is None
         assert p.get(f"c{n}") is None

@@ -2,7 +2,13 @@ import json
 
 import pytest
 
-from qflab import ContributionProfile, DeficitMode, ScenarioFormatError, Variant
+from qflab import (
+    Contribution,
+    ContributionProfile,
+    DeficitMode,
+    ScenarioFormatError,
+    Variant,
+)
 from qflab.scenario_io import (
     contributions_to_csv,
     parse_contributions_csv,
@@ -253,6 +259,16 @@ H = "citizen_id,good_id,amount\n"
 HS = "citizen_id,good_id,amount,sign\n"
 
 
+def table(text, through, tmp_path):
+    """The parser's argument for ``text``: the string itself, or the path of
+    a file holding it, which the parser reads as a stream."""
+    if through == "string":
+        return text
+    path = tmp_path / "c.csv"
+    path.write_text(text)
+    return path
+
+
 class TestContributionsCsvErrors:
     """Rows are checked in file order; the first bad row is reported with
     its record number, and blank rows are skipped but still counted."""
@@ -286,9 +302,10 @@ class TestContributionsCsvErrors:
         # a row short of a later required column is a field-count error
         ("x,citizen_id,good_id,amount\n1,a,g\n", "line 2: expected at least 4 fields, got 3"),
     ])
-    def test_first_bad_row_reported(self, text, message):
+    @pytest.mark.parametrize("through", ["file", "string"])
+    def test_first_bad_row_reported(self, text, message, through, tmp_path):
         with pytest.raises(ScenarioFormatError) as err:
-            parse_contributions_csv(text)
+            parse_contributions_csv(table(text, through, tmp_path))
         assert str(err.value) == message
 
     def test_oversized_field_reports_its_record(self, tmp_path):
@@ -311,10 +328,27 @@ class TestContributionsCsvErrors:
         profiles = parse_contributions_csv(HS + "a,g,1,-\nb,g,4\nc,g,9,\n")
         assert profiles[0].signs == (-1, 1, 1)
 
-    def test_goods_in_order_of_first_row(self):
-        profiles = parse_contributions_csv(H + "a,h,1\nb,g,2\nc,h,3\n\n")
+    @pytest.mark.parametrize("through", ["file", "string"])
+    def test_goods_in_order_of_first_row(self, through, tmp_path):
+        profiles = parse_contributions_csv(
+            table(H + "a,h,1\nb,g,2\nc,h,3\n\n", through, tmp_path))
         assert [(p.good_id, p.citizen_ids, p.amounts) for p in profiles] == [
             ("h", ("a", "c"), (1.0, 3.0)), ("g", ("b",), (2.0,))]
+
+    @pytest.mark.parametrize("through", ["file", "string"])
+    def test_one_str_per_citizen_and_no_index_kept(self, through, tmp_path):
+        # a citizen on several goods is one str object in every profile, and
+        # no profile holds an id index until its first get()
+        text = H + "alice,g,1\nbob,h,2\nbob,g,3\nalice,h,0\ncarol,h,4\n"
+        g, h = parse_contributions_csv(table(text, through, tmp_path))
+        assert g.citizen_ids == ("alice", "bob") and h.citizen_ids == ("bob", "alice", "carol")
+        assert g.citizen_ids[0] is h.citizen_ids[1]
+        assert g.citizen_ids[1] is h.citizen_ids[0]
+        assert "_index" not in g.__dict__ and "_index" not in h.__dict__
+        assert h.get("alice") == Contribution("alice", 0.0)
+        assert h.get("carol") == Contribution("carol", 4.0)
+        assert h.get("dave") is None
+        assert "_index" in h.__dict__ and "_index" not in g.__dict__
 
 
 class TestContributionsCsvRoundTrip:
@@ -338,11 +372,7 @@ class TestContributionsCsvRoundTrip:
             "g\rh", ["a\rb", "c\r\nd", "e\n\rf", "x"], [1.0, 2.0, 3.0, 4.0], [1, 1, -1, 1])]
         text = contributions_to_csv(profiles)
         assert '"a\rb","g\rh",1,+1\n' in text
-        if through == "file":
-            path = tmp_path / "c.csv"
-            path.write_text(text)
-            text = path
-        assert parse_contributions_csv(text) == profiles
+        assert parse_contributions_csv(table(text, through, tmp_path)) == profiles
 
     @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
     def test_any_line_ending_reads_alike(self, end, tmp_path):
