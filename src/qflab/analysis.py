@@ -146,9 +146,8 @@ def solve_alpha_for_budget(scenario: Scenario, budget: float,
         trial = Scenario(scenario.citizens, scenario.goods, cfg, scenario.budget)
         result = solve_equilibrium(trial, **solver_kwargs)
         if not result.converged:
-            raise PolicyError(
-                f"equilibrium did not converge at alpha={alpha}: "
-                f"residual {result.residual:.3g} after {result.iterations} sweeps")
+            raise PolicyError(f"no certified equilibrium at alpha={alpha}: "
+                              f"residual {result.residual:.3g}")
         return result.deficit
 
     if deficit_at(1.0) <= budget:

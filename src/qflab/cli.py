@@ -276,7 +276,7 @@ def cmd_sweep(args) -> int:
                                        max_iters=args.max_iters,
                                        damping=args.damping)
             if not result.converged:
-                raise QFLabError(f"no convergence (residual {result.residual:.3g})")
+                raise QFLabError(f"no certified equilibrium (residual {result.residual:.3g})")
             rep = welfare(trial, result.funding)
             row = [args.param, _fmt(value)]
             for g in scenario.goods:

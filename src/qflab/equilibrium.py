@@ -1,54 +1,45 @@
 """Contribution-game equilibria and welfare benchmarks.
 
 The central entry point is ``solve_equilibrium``. Goods are independent by
-assumption, so each good is solved on its own by one of two engines:
+assumption, and every rule is F = alpha*T**beta + (1 - alpha)*scale*A, with
+T = sum_i sign_i*c_i**(1/beta) and A = sum_i c_i (the rule's ``RuleShape``,
+in mechanisms). The game is aggregative in T (Cornes & Hartley 2007): each
+member's first-order condition fixes their share w_i(F) of T from the
+funding level alone (``_shares``), so a good's candidate equilibria are
+F = 0 and the roots of sum_i w_i(F) = 1. Two engines find them:
 
-* the vector engine, for concave value families with positive weights.
-  Every rule is F = alpha*T**beta + (1 - alpha)*scale*A, with
-  T = sum_i sign_i*c_i**(1/beta) and A = sum_i c_i (the rule's
-  ``RuleShape``, in mechanisms), so the game is aggregative in T and a
-  good's equilibrium is one root in its funding level F rather than a fixed
-  point in N dimensions. Each member's first-order condition fixes their
-  share w_i(F) of T; the shares fall in F and F solves sum_i w_i(F) = 1 by
-  a bracketed root-find. The linear rules (alpha = 0) need no root: only
-  the members with the largest target level pay.
-* the scalar engine, for S-shaped values, signed contributions with harmed
-  citizens, shadow prices of 1 or more, and anything else the shares do
-  not cover. It iterates exact best responses to a fixed point: each sweep
-  evaluates every citizen's best response at the current state, until the
-  sup-norm gap is within the tolerance. The next state is a safeguarded
-  Anderson mixing of the last few states (Walker & Ni 2011) with
-  ``damping`` as the mixing factor, or the plain damped step, which moves
-  the state by ``damping`` toward every best response, where mixing does
-  not lower the gap (``solve_equilibrium`` has the details).
+* the vector engine, for regular goods (every member concave with a > 0
+  and a shadow price below 1), where the sum falls in F and its one root
+  is found by a bracketed root-find. Under the linear rules (alpha = 0)
+  only the members with the largest target level pay.
+* the scalar engine, for the rest (S-shaped values, harmed citizens and
+  deficit-averse outsiders under PM_QF, shadow prices of 1 or more), which
+  scans the sum for every root and certifies each candidate against every
+  member's exact best response (``solve_equilibrium`` has the details).
 
-One citizen's best response sees the others only through their
-aggregates T_o and A_o: a contribution c with sign s gives
-F = funding(T_o + s*c**(1/beta), A_o + c), with dF/dc from the same shape.
-The scalar engine takes each member's T_o from the same roots as T, so it
-is never negative under the unsigned rules. The best response takes one of
-two routes (``best_response_full``, the scalar engine and the myopic round
-agents all share it):
+A best response sees the others only through their aggregates T_o and
+A_o: a contribution c with sign s gives F = funding(T_o + s*c**(1/beta),
+A_o + c). It takes one of two routes (``best_response_full``, the
+certificate and the myopic round agents all share it):
 
 * the first-order route, for a concave family with a > 0, no shadow price
   and an unsigned rule. Each such rule makes F concave in c, so the
-  utility is too, and the best response is 0 or the one root of the
-  first-order condition du/dc = 0 (the replacement function of aggregative
-  games; Cornes & Hartley 2007): closed form under the linear rules and
-  for SQRT under QF, otherwise a bracketed root in y = c**(1/beta).
+  utility is too, and the best response is 0 or the one root of du/dc = 0
+  (the replacement function of aggregative games): closed form under the
+  linear rules and for SQRT under QF, otherwise a bracketed root in
+  y = c**(1/beta).
 * the grid route, for everyone else (S-shaped values, harmed citizens,
   PM_QF's two sign branches, shadow prices): a grid scan over a geometric
   lattice, bounded refinement, then a derivative polish.
 
-Every 1-D root (``_unit_root``, the polish) is Brent's root finder and
-every bounded refinement (the grid route, ``_global_welfare_argmax``) is
-Brent's bounded minimiser, both on Python floats (``qflab._brent``).
-
-Non-convergence is reported as a diagnostic result, never an exception.
+Every 1-D root is Brent's root finder and every bounded refinement Brent's
+bounded minimiser, both on Python floats (``qflab._brent``). A good without
+a certified equilibrium is a diagnostic result, never an exception.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -110,7 +101,6 @@ class GoodDiagnostics:
     converged: bool
     iterations: int
     residual: float
-    damping: float
     engine: str
 
 
@@ -150,6 +140,23 @@ def _geomspace(lo: float, hi: float, num: int) -> np.ndarray:
     return out
 
 
+def _level_grid(vfs, settled) -> np.ndarray:
+    """Funding levels on which to scan a good: 0, 3000 geometric from
+    1e-9*F_hi and 3000 linear up to F_hi. F_hi is the first doubling from 1
+    at which every value is past its hump_end and ``settled(F_hi)`` holds,
+    or the first past 1e250."""
+    F_hi = 1.0
+    while F_hi < 1e250:
+        if all(F_hi >= vf.hump_end for vf in vfs) and settled(F_hi):
+            break
+        F_hi *= 2.0
+    return np.unique(np.concatenate([
+        [0.0],
+        _geomspace(1e-9 * max(F_hi, 1.0), F_hi, 3000),
+        np.linspace(0.0, F_hi, 3000),
+    ]))
+
+
 def _global_welfare_argmax(vfs: list[ValueFunction], cost: float) -> float:
     """Global argmax of sum_i V_i(F) - cost*F over F >= 0, by grid scan plus
     bounded refinement. Handles non-concave (S-shaped) and decreasing values."""
@@ -157,16 +164,7 @@ def _global_welfare_argmax(vfs: list[ValueFunction], cost: float) -> float:
         terms = [vf.marginal(F) for vf in vfs]
         return math.fsum(t for t in terms if math.isfinite(t))
 
-    F_hi = 1.0
-    while F_hi < 1e250:
-        if all(F_hi >= vf.hump_end for vf in vfs) and agg(F_hi) < cost:
-            break
-        F_hi *= 2.0
-    grid = np.unique(np.concatenate([
-        [0.0],
-        _geomspace(1e-9 * max(F_hi, 1.0), F_hi, 3000),
-        np.linspace(0.0, F_hi, 3000),
-    ]))
+    grid = _level_grid(vfs, lambda F: agg(F) < cost)
     W = -cost * grid
     for vf in vfs:
         W = W + vf.value(grid)
@@ -420,54 +418,82 @@ def best_response(citizen: Citizen, good_id: str, others: ContributionProfile,
 
 
 # ---------------------------------------------------------------------------
-# share-function engine for concave goods
+# the engines: roots of the share sum in F
 
 
 def _member_marginals(vfs):
-    """Per-member V'(F) at one level F for concave members: one
-    ``family_marginal`` call per family, with the members grouped once and
-    an ISOELASTIC group's a*rho and rho - 1 formed once."""
+    """Per-member V'(F) at one level F, or one row per level of a column of
+    levels: one ``family_marginal`` call per family, with the members
+    grouped once and an ISOELASTIC group's a*rho and rho - 1 formed once.
+    A member whose value is None (an outsider) has V' = 0."""
     by_family = {}
     for j, vf in enumerate(vfs):
-        by_family.setdefault(vf.family, []).append(j)
+        if vf is not None:
+            by_family.setdefault(vf.family, []).append(j)
     groups = []
     for fam, idx in by_family.items():
-        a, e = np.array([vfs[j].a for j in idx]), None
+        a, e, k, m = np.array([vfs[j].a for j in idx]), None, None, None
         if fam is Family.ISOELASTIC:
             rho = np.array([vfs[j].rho for j in idx])
             a, e = a * rho, rho - 1.0
-        groups.append((fam, np.array(idx), a, e))
+        elif fam is Family.SSHAPED:
+            k, m = np.array([vfs[j].k for j in idx]), np.array([vfs[j].m for j in idx])
+        groups.append((fam, np.array(idx), a, e, k, m))
+    blank = np.empty if sum(map(len, by_family.values())) == len(vfs) else np.zeros
 
-    def marginals(F: float) -> np.ndarray:
-        out = np.empty(len(vfs))
-        for fam, idx, a, e in groups:
-            out[idx] = family_marginal(fam, F, a, e)
+    def marginals(F) -> np.ndarray:
+        if isinstance(F, float):  # the root finders' path, kept lean
+            out = blank(len(vfs))
+            for fam, idx, a, e, k, m in groups:
+                out[idx] = family_marginal(fam, F, a, e, k, m)
+            return out
+        out = blank((len(F), len(vfs)))
+        for fam, idx, a, e, k, m in groups:
+            out[:, idx] = family_marginal(fam, F, a, e, k, m)
         return out
 
     return marginals
 
 
-def _shares(marginals, lam: np.ndarray, alpha: float, beta: float):
-    """Each member's equilibrium share w_i(F) of the rule's aggregate.
+def _shares(lam: np.ndarray, alpha: float, beta: float, signed: bool):
+    """Each member's first-order share w_i of the rule's aggregate T, as a
+    function of their marginal values V'(F) (one row per level, members
+    last).
 
     The quadratic rules are the power family at beta = 2, and CQF mixes in
     the linear rule with weight 1 - alpha (alpha = 1 otherwise). With
-    m = max(V'(F) - lam, 0) the first-order conditions give
-    w = (alpha*m/((1-lam) - (1-alpha)*m))**(1/(beta-1)). A member with
-    m > 0 and a nonpositive denominator gains from every further unit, so
-    F lies below the root and the share is +inf. The sum falls in F.
-    Near F = 0 a share may overflow to +inf, with numpy's warning.
+    m = V'(F) - lam the first-order conditions give
+    w = (alpha*m/((1-lam) - (1-alpha)*m))**(1/(beta-1)).
+    Under PM_QF that is the signed w = m/(1 - lam) of every member. Under
+    the unsigned rules a member with m > 0 must pay (du/dc(0+) is +inf);
+    with a nonpositive denominator they gain from every further unit, so F
+    lies below the root and the share is +inf. A member with m <= 0 pays 0,
+    save that one with lam >= 1 may also pay the positive share where
+    ``chosen`` holds. Near F = 0 a share may overflow to +inf, with
+    numpy's warning.
     """
     power = 1.0 / (beta - 1.0)
     one_minus_lam = 1.0 - lam
 
-    def shares(F: float) -> np.ndarray:
-        m = np.maximum(marginals(F) - lam, 0.0)
+    def shares(v: np.ndarray, chosen=None) -> np.ndarray:
+        m = v - lam
         den = one_minus_lam - (1.0 - alpha) * m
-        ratio = np.divide(alpha * m, den, out=np.full(lam.size, np.inf), where=den > 0.0)
-        return np.where(m > 0.0, ratio ** power, 0.0)
+        if signed:
+            return m / den
+        paying, pos = m > 0.0, den > 0.0
+        ratio = np.divide(alpha * m, den, out=np.full(m.shape, np.inf), where=pos == paying)
+        if chosen is not None:
+            paying = paying | (chosen & ~pos)
+        return np.where(paying, ratio ** power, 0.0)
 
     return shares
+
+
+def _state(w: np.ndarray, F: float, alpha: float, beta: float) -> np.ndarray:
+    """The signed contributions at level F with shares w:
+    c_i = (w_i*T)**beta, where T**beta = F/(alpha + (1-alpha)*sum w**2)
+    (CQF, the one mixed rule, has beta = 2)."""
+    return np.copysign(w ** beta, w) * F / (alpha + (1.0 - alpha) * float(np.sum(w * w)))
 
 
 def _unit_root(g) -> tuple[float, int]:
@@ -482,211 +508,181 @@ def _unit_root(g) -> tuple[float, int]:
     return brentq(lambda F: g(F) - 1.0, lo, hi, 1e-300, 8.9e-16)
 
 
+def _gap(members, lam, shape, x, stop=math.inf) -> float:
+    """max_j |best response_j - x_j| at the signed state x, or inf where a
+    best response does not exist; the scan over members ends once the gap
+    passes ``stop``. Each member's others' aggregate comes from the same
+    roots as the whole, so it cannot fall below 0 where every root is
+    nonnegative."""
+    amounts = np.abs(x)
+    roots = shape.root(amounts)
+    if shape.signed:
+        roots = np.sign(x) * roots
+    T, A = roots.sum(), amounts.sum()
+    gap = 0.0
+    for j, (_, _, vf) in enumerate(members):
+        try:
+            r = _best_response_core(vf, float(lam[j]), shape, float(T - roots[j]),
+                                    float(A - amounts[j]))
+        except NoSolutionError:
+            return math.inf
+        gap = max(gap, abs(r.sign * r.amount - float(x[j])))
+        if gap > stop:
+            break
+    return gap
+
+
+def _lams(members, config) -> np.ndarray:
+    shadow = config.deficit_mode is DeficitMode.SHADOW_PRICES
+    return np.array([cit.lam if shadow else 0.0 for _, cit, _ in members])
+
+
+def _linear_targets(vfs, lam, scale) -> np.ndarray:
+    """Each member's target level under the linear rules: the F where
+    V'(F) = t = (1 + lam*(scale-1))/scale on the decreasing branch of V'
+    (for an S-shaped member the one local maximum of V(F) - t*F), or 0
+    where there is none."""
+    targets = np.zeros(len(vfs))
+    for j, (vf, t) in enumerate(zip(vfs, ((1.0 + lam * (scale - 1.0)) / scale).tolist())):
+        try:
+            targets[j] = vf.inverse_marginal(t)
+        except NoSolutionError:
+            pass
+    return targets
+
+
+def _linear_state(targets, F, scale) -> np.ndarray:
+    """The members at target level F split F/scale equally."""
+    top = targets == F
+    return np.where(top, F / scale / np.count_nonzero(top), 0.0)
+
+
 def _solve_good_vector(scenario, good_id, config, tolerance):
-    """Equilibrium of one concave good without iterating on the state.
+    """Equilibrium of one regular good without iterating on the state.
 
     Under the linear rules each member's target level solves
     V'(F_i) = (1 + lam*(scale-1))/scale; F is the largest target and the
     members at exactly that target split F/scale equally. Every other rule
     is an aggregative game: F solves sum_i w_i(F) = 1 (``_shares``) and
-    each member pays their share of the aggregate.
+    each member pays their share of the aggregate. Under PM_QF a negative
+    share leaves that member's payoff non-concave in their contribution,
+    so such a state's residual includes its certificate gap (``_gap``).
     """
     members = [
         (i, cit, cit.values[good_id])
         for i, cit in enumerate(scenario.citizens)
         if good_id in cit.values and cit.values[good_id].a > 0
     ]
-    lam = np.array(
-        [cit.lam if config.deficit_mode is DeficitMode.SHADOW_PRICES else 0.0
-         for _, cit, _ in members])
+    lam = _lams(members, config)
     x = np.zeros(len(members))
     shape = config.shape
     if shape.alpha == 0.0:
-        scale = shape.scale
-        level = (1.0 + lam * (scale - 1.0)) / scale
-        targets = np.array([0.0 if vf.marginal(0.0) <= t else vf.inverse_marginal(t)
-                            for (_, _, vf), t in zip(members, level.tolist())])
+        targets = _linear_targets([vf for _, _, vf in members], lam, shape.scale)
         F = float(targets.max(initial=0.0))
         if F > 0.0:
-            top = targets == F
-            x[top] = F / scale / np.count_nonzero(top)
-        return members, x, GoodDiagnostics(True, 0, 0.0, 0.0, "vector")
+            x = _linear_state(targets, F, shape.scale)
+        return members, x, GoodDiagnostics(True, 0, 0.0, "vector")
 
     alpha, beta = shape.alpha, shape.beta
-    shares = _shares(_member_marginals([vf for _, _, vf in members]), lam, alpha, beta)
+    marginals = _member_marginals([vf for _, _, vf in members])
+    shares = _shares(lam, alpha, beta, shape.signed)
     iterations, residual = 0, 0.0
     with np.errstate(over="ignore"):  # shares near F = 0 may pass the float range
-        if shares(0.0).sum() > 1.0:
-            F, iterations = _unit_root(lambda F: float(shares(F).sum()))
-            w = shares(F)
+        if shares(marginals(0.0)).sum() > 1.0:
+            F, iterations = _unit_root(lambda F: float(shares(marginals(F)).sum()))
+            w = shares(marginals(F))
             residual = abs(float(w.sum()) - 1.0)
-            # c_i = (w_i*T)**beta, where T**beta = F/(alpha + (1-alpha)*sum w**2)
-            x = w ** beta * F / (alpha + (1.0 - alpha) * float(np.sum(w * w)))
-    return members, x, GoodDiagnostics(
-        residual <= tolerance, iterations, residual, 0.0, "vector")
+            x = _state(w, F, alpha, beta)
+            if np.any(w < 0.0):
+                residual = max(residual, _gap(members, lam, shape, x))
+    return members, x, GoodDiagnostics(residual <= tolerance, iterations, residual, "vector")
 
 
-# ---------------------------------------------------------------------------
-# the fixed-point driver
+# Flexible members (lam >= 1, unsigned rules) are scanned at 0 and at their
+# share in every combination, smallest first, up to this many combinations.
+_MAX_PATTERNS = 1024
 
 
-# Anderson history: the most difference columns in the mixing step, and
-# the fewest. A single secant is a poor first step when the plain
-# iteration has both a slow monotone and a slow alternating mode, as
-# S-shaped goods under CQF do.
-_ANDERSON_DEPTH = 5
-_ANDERSON_MIN_DEPTH = 2
-# Rejected mixed states in a row after which a solve takes only plain steps.
-_MAX_REJECTIONS = 3
-
-
-def _fixed_point(br_fn, x0, tolerance, max_iters, damping, lower):
-    """Safeguarded Anderson mixing on the signed contribution state, as
-    ``solve_equilibrium`` describes it.
-
-    br_fn maps the signed state to signed best responses; a mixed state is
-    clipped below at ``lower``. A rejected mixed state (not finite, no best
-    response, or a residual not below every accepted state's) costs its
-    sweep, clears the history and is replaced by the plain step from the
-    last accepted state. The damping-halving and stall windows count
-    accepted sweeps only. An unconverged solve returns the last accepted
-    state and its residual, or the state where best responses ceased to
-    exist with residual inf.
-    """
-    x = x0.astype(float).copy()
-    d = damping
-    halvings = rejections = 0
-    history = []
-    x_acc = f_acc = None
-    mixed = False
-    window, prev_window = [], []
-    residual = best = math.inf
-    iterations = 0
-    converged = False
-    for it in range(1, max_iters + 1):
-        iterations = it
-        f = None
-        if np.isfinite(x).all():
-            try:
-                f = br_fn(x) - x
-            except NoSolutionError:
-                pass
-        trial = math.inf if f is None else float(np.max(np.abs(f), initial=0.0))
-        # measured against the lowest accepted residual, not the last: on a
-        # diverging state the residual climbs, and a mixed state that only
-        # beats the last one lets the iteration wander instead of run off
-        if mixed and not trial < best:
-            rejections += 1
-            history = []
-            x, mixed = x_acc + d * f_acc, False
-            continue
-        if f is None:
-            # the state has diverged past where best responses exist
-            residual = math.inf
-            break
-        residual = trial
-        if residual <= tolerance:
-            converged = True
-            break
-        if mixed:
-            rejections = 0
-        x_acc, f_acc = x, f
-        best = min(best, residual)
-        window.append(residual)
-        if len(window) == 100:
-            if prev_window and halvings == 3 and min(window) >= min(prev_window):
-                break
-            if prev_window and halvings < 3 and min(window) > 0.5 * min(prev_window):
-                d *= 0.5
-                halvings += 1
-                history = []
-            prev_window, window = window, []
-        if rejections < _MAX_REJECTIONS:
-            history = (history + [(x, f)])[-(_ANDERSON_DEPTH + 1):]
-        mixed = len(history) > _ANDERSON_MIN_DEPTH
-        x = np.maximum(_anderson(history, d), lower) if mixed else x + d * f
-    else:
-        if x_acc is not None:
-            x = x_acc
-    return x, converged, iterations, residual, d
-
-
-def _anderson(history, d):
-    """Type-II Anderson mixing (Walker & Ni 2011) of (state, residual)
-    pairs, oldest first: the damped step from the newest state, corrected
-    by the combination of past differences that best cancels its residual
-    in least squares."""
-    X = np.array([h[0] for h in history])
-    F = np.array([h[1] for h in history])
-    dX, dF = np.diff(X, axis=0).T, np.diff(F, axis=0).T
-    gamma = np.linalg.lstsq(dF, F[-1], rcond=None)[0]
-    return X[-1] + d * F[-1] - (dX + d * dF) @ gamma
-
-
-def _scalar_members(scenario, good_id, config):
-    """Citizens participating in the scalar game for this good."""
-    members = []
-    for i, cit in enumerate(scenario.citizens):
-        vf = cit.values.get(good_id)
-        if vf is not None:
-            members.append((i, cit, vf))
-        elif (config.variant is Variant.PM_QF
-              and config.deficit_mode is DeficitMode.SHADOW_PRICES
-              and cit.lam > 0):
-            # deficit-averse outsiders may pay to shrink the match
-            members.append((i, cit, None))
-    return members
-
-
-def _solve_good_scalar(scenario, good_id, config, tolerance, max_iters, damping,
-                       x0=None):
-    members = _scalar_members(scenario, good_id, config)
+def _candidates(members, lam, shape):
+    """Candidate equilibria of one good as (F, signed state) pairs, and the
+    root finder's iteration count: F = 0, then under the linear rules each
+    member's target level, otherwise each root of the share sum on the
+    scan grid."""
     n = len(members)
-    lam = [cit.lam if config.deficit_mode is DeficitMode.SHADOW_PRICES else 0.0
-           for _, cit, _ in members]
-    shape = config.shape
+    vfs = [vf for _, _, vf in members]
+    found, iterations = [(0.0, np.zeros(n))], 0
+    if shape.alpha == 0.0:
+        targets = _linear_targets(vfs, lam, shape.scale)
+        found += [(F, _linear_state(targets, F, shape.scale))
+                  for F in set(targets[targets > 0.0].tolist())]
+        return found, iterations
 
-    def br(x):
-        amounts = np.abs(x)
-        roots = shape.root(amounts)
-        if shape.signed:
-            roots = np.sign(x) * roots
-        # each member's others' aggregate comes from the same roots as the
-        # whole, so it cannot fall below 0 where every root is nonnegative
-        T = roots.sum()
-        A = amounts.sum()
-        out = np.empty(n)
-        for j, (_, cit, vf) in enumerate(members):
-            r = _best_response_core(vf, lam[j], shape, float(T - roots[j]),
-                                    float(A - amounts[j]))
-            out[j] = r.sign * r.amount
-        return out
+    marginals = _member_marginals(vfs)
+    shares = _shares(lam, shape.alpha, shape.beta, shape.signed)
+    flexible = lam >= 1.0
 
-    x0 = np.zeros(n) if x0 is None else x0
-    lower = -math.inf if shape.signed else 0.0
-    x, converged, iters, resid, d = _fixed_point(
-        br, x0, tolerance, max_iters, damping, lower)
-    return members, x, GoodDiagnostics(converged, iters, resid, d, "scalar")
+    def settled(F):
+        # past F_hi no sum can reach 1 again: the other members' positive
+        # shares only fall, and a flexible member's share at a root is at
+        # most 1, which needs V'(F) >= 1
+        v = marginals(F)
+        return (float(np.maximum(shares(v)[~flexible], 0.0).sum()) < 1.0
+                and bool(np.all(v[flexible] < 1.0)))
+
+    grid = _level_grid([vf for vf in vfs if vf is not None], settled)
+    grid_marginals = marginals(grid[:, None])
+    flex = [] if shape.signed else np.flatnonzero(flexible).tolist()
+    patterns = itertools.islice(itertools.chain.from_iterable(
+        itertools.combinations(flex, size) for size in range(len(flex) + 1)), _MAX_PATTERNS)
+    for pattern in patterns:
+        chosen = np.zeros(n, dtype=bool)
+        chosen[list(pattern)] = True
+        above = shares(grid_marginals, chosen).sum(axis=1) > 1.0
+
+        def excess(F):
+            # (S - 1)/(|S| + 1) has the sign of S - 1 and stays finite
+            s = float(shares(marginals(F), chosen).sum())
+            return 1.0 if s == math.inf else (s - 1.0) / (abs(s) + 1.0)
+
+        for j in np.flatnonzero(above[:-1] != above[1:]).tolist():
+            try:
+                F, its = brentq(excess, float(grid[j]), float(grid[j + 1]), 1e-300, 8.9e-16)
+            except (ValueError, RuntimeError):  # a NaN share in the bracket
+                continue
+            iterations += its
+            w = shares(marginals(F), chosen)
+            # a bracket across a jump of the sum (a share passing +inf) holds
+            # no root
+            if abs(float(w.sum()) - 1.0) <= 1e-6:
+                found.append((F, _state(w, F, shape.alpha, shape.beta)))
+    return found, iterations
 
 
-def _share_start(scenario, good_id, members, shape):
-    """Start every citizen at their first-order share of the optimal level:
-    y = V'(F)**(1/(beta - 1))*F**(1/beta) and c = y**beta, or c = V'(F)*F
-    under the linear rules."""
-    F_star = optimal_funding(scenario, good_id)
-    if F_star <= 0:
-        return None
-    x0 = np.zeros(len(members))
-    for j, (_, cit, vf) in enumerate(members):
-        if vf is None:
+def _solve_good_scan(members, lam, shape, tolerance):
+    """Every candidate equilibrium of one good, certified in order of net
+    welfare: the first certified is reported and the next certified at
+    another level is the alternate. Without a certified candidate the
+    welfare-best is reported, unconverged, with its gap."""
+    with np.errstate(all="ignore"):  # shares pass +inf near F = 0 and at poles
+        found, iterations = _candidates(members, lam, shape)
+    vfs = [vf for _, _, vf in members if vf is not None]
+    ranked = sorted({x.tobytes(): (math.fsum(vf.value(F) for vf in vfs) - F, F, x)
+                     for F, x in found}.values(), key=lambda t: -t[0])
+    best = None
+    for _, F, x in ranked:
+        gap = _gap(members, lam, shape, x, stop=tolerance)
+        if gap > tolerance:
             continue
-        mv = max(vf.marginal(F_star), 0.0)
-        if shape.alpha == 0.0:
-            x0[j] = F_star * mv
-        else:
-            y = mv ** (1.0 / (shape.beta - 1.0)) * shape.root(F_star)
-            x0[j] = y ** shape.beta
-    return x0
+        diag = GoodDiagnostics(True, iterations, gap, "scalar")
+        if best is None:
+            best = (F, x, diag)
+        elif abs(F - best[0]) > 1e-9 * max(1.0, best[0]):
+            return members, best[1], best[2], (x, diag)
+    if best is None:
+        x = ranked[0][2]
+        return members, x, GoodDiagnostics(
+            False, iterations, _gap(members, lam, shape, x), "scalar"), None
+    return members, best[1], best[2], None
 
 
 def _profile_from_state(good_id, members, x) -> ContributionProfile:
@@ -700,70 +696,21 @@ def _profile_from_state(good_id, members, x) -> ContributionProfile:
     return ContributionProfile.from_columns(good_id, ids, amounts, signs)
 
 
-def _needs_scalar(scenario, good_id, config) -> bool:
-    vfs = [c.values[good_id] for c in scenario.citizens if good_id in c.values]
-    if any(vf.family is Family.SSHAPED for vf in vfs):
-        return True
-    if config.deficit_mode is DeficitMode.SHADOW_PRICES and any(
-        c.lam >= 1.0 for c in scenario.citizens if good_id in c.values
-    ):
-        # the share functions assume 1 - lam > 0
-        return True
-    if config.variant is Variant.PM_QF:
-        if any(vf.a <= 0 for vf in vfs):
-            return True
-        if config.deficit_mode is DeficitMode.SHADOW_PRICES and any(
-            c.lam > 0 and good_id not in c.values for c in scenario.citizens
-        ):
-            return True
-    return False
-
-
-def _solve_good(scenario, good_id, config, tolerance, max_iters, damping, engine):
-    use_scalar = engine == "scalar" or (engine == "auto" and _needs_scalar(
-        scenario, good_id, config))
-    if not use_scalar:
-        members, x, diag = _solve_good_vector(scenario, good_id, config, tolerance)
-        if (config.variant is Variant.PM_QF
-                and config.deficit_mode is DeficitMode.SHADOW_PRICES):
-            # the positive branch presumed V' >= lam; re-solve robustly if not
-            profile = _profile_from_state(good_id, members, x)
-            F = fund(profile, config)
-            bad = any(
-                vf.marginal(F) < cit.lam - 1e-12
-                for _, cit, vf in members
-            )
-            if bad and engine == "auto":
-                use_scalar = True
-        if not use_scalar:
-            return members, x, diag, None
-
-    two_starts = any(vf.family is Family.SSHAPED for _, vf in _valuing(scenario, good_id))
-    members, x, diag = _solve_good_scalar(
-        scenario, good_id, config, tolerance, max_iters, damping)
-    alt = None
-    if two_starts:
-        x0 = _share_start(scenario, good_id, members, config.shape)
-        if x0 is not None:
-            members2, x2, diag2 = _solve_good_scalar(
-                scenario, good_id, config, tolerance, max_iters, damping, x0=x0)
-            if diag2.converged and (
-                not diag.converged
-                or np.max(np.abs(x2 - x)) > 10.0 * tolerance
-            ):
-                # keep the welfare-better fixed point, report the other
-                def net(state):
-                    prof = _profile_from_state(good_id, members, state)
-                    F = fund(prof, config)
-                    gross = math.fsum(
-                        vf.value(F) for _, _, vf in members if vf is not None)
-                    return gross - F
-                if not diag.converged or net(x2) > net(x):
-                    alt = (x, diag) if diag.converged else None
-                    x, diag = x2, diag2
-                else:
-                    alt = (x2, diag2)
-    return members, x, diag, alt
+def _solve_good(scenario, good_id, config, tolerance, engine):
+    signed = config.shape.signed
+    shadow = config.deficit_mode is DeficitMode.SHADOW_PRICES
+    # deficit-averse outsiders may pay to shrink the match under PM_QF
+    members = [(i, cit, cit.values.get(good_id)) for i, cit in enumerate(scenario.citizens)
+               if good_id in cit.values or (signed and shadow and cit.lam > 0)]
+    # regular: every member concave with a > 0 and lam < 1; harmed citizens
+    # pay nothing under the unsigned rules. SSHAPED is looked up once: a
+    # lookup through the Enum class per member doubles this check's cost
+    sshaped = Family.SSHAPED
+    if engine == "vector" or engine == "auto" and all(
+            vf is not None and vf.family is not sshaped and (vf.a > 0 or not signed)
+            and not (shadow and cit.lam >= 1.0) for _, cit, vf in members):
+        return (*_solve_good_vector(scenario, good_id, config, tolerance), None)
+    return _solve_good_scan(members, _lams(members, config), config.shape, tolerance)
 
 
 def solve_equilibrium(scenario: Scenario, tolerance: float = 1e-8,
@@ -771,32 +718,25 @@ def solve_equilibrium(scenario: Scenario, tolerance: float = 1e-8,
                       engine: str = "auto") -> EquilibriumResult:
     """Nash equilibrium of the contribution game under the active rule.
 
-    ``engine`` may force the "vector" share-function root or the "scalar"
-    best-response iteration; "auto" picks per good (module docstring).
-    ``tolerance``, ``max_iters`` and ``damping`` govern the scalar engine:
-    a scalar good is converged when max|br(x) - x| <= ``tolerance`` at the
-    returned state x, after at most ``max_iters`` sweeps, each of which
-    evaluates every best response once. The next state is the type-II
-    Anderson mixing of the last accepted states and residuals, two to five
-    differences deep, with ``damping`` as the mixing factor; the plain
-    step, taken while the history is shorter, moves the state that
-    fraction of the way to the best responses. A mixed state whose
-    residual is not below the lowest accepted so far, or where a best
-    response does not exist, is rejected: the history is cleared and the
-    plain step is taken from the last accepted state. After three
-    rejections in a row the solve takes only plain steps, so a diverging
-    state runs off until its best responses cease to exist. Each 100
-    sweeps that fail to halve the best residual halve the damping (at most
-    three times; each halving restarts the mixing); after that, 100
-    sweeps that do not lower the best residual at all end the solve
-    unconverged.
-    A vector good is converged when its shares sum to 1 within
-    ``tolerance``, and its diagnostics count root-finder iterations.
-    Non-convergence yields converged=False with diagnostics rather than an
-    exception. Non-concave goods are attempted from two starts (all-zero
-    and optimal-share); when both converge to distinct fixed points the
-    welfare-better one is reported and the other is attached as
-    ``alternate``.
+    ``engine`` may force the "vector" share-sum root or the "scalar" scan;
+    "auto" picks per good (module docstring). A vector good is converged
+    when its shares sum to 1 within ``tolerance`` (and, under PM_QF with a
+    short seller, its state is certified as below). The scan's candidates
+    are F = 0 and every root of sum_i w_i(F) = 1 on ``_level_grid``'s
+    levels, each bracketed by a sign change and refined by brentq; a member
+    with a shadow price of 1 or more is scanned both at 0 and at their
+    share. Under the linear rules the candidates are F = 0 and each
+    member's target level. Under PM_QF each root is taken at T = +sqrt(F):
+    the game is symmetric under s -> -s, so the mirror state at -T is an
+    equilibrium exactly when that one is, and it is neither certified nor
+    reported. A candidate is certified when max_i |br_i(x) - x_i| <=
+    ``tolerance`` at its state x (``_gap``); it fails where a best response
+    does not exist. The welfare-best certified candidate is reported, with
+    the runner-up at another level as ``alternate``. Without one the good
+    is unconverged and reports its welfare-best candidate, whose gap (inf
+    where best responses do not exist) is the residual. ``iterations``
+    counts root-finder iterations. ``max_iters`` and ``damping`` are
+    validated and have no effect.
     """
     if engine not in ("auto", "vector", "scalar"):
         raise ValueError(f"engine must be auto|vector|scalar, got {engine!r}")
@@ -817,10 +757,10 @@ def solve_equilibrium(scenario: Scenario, tolerance: float = 1e-8,
         if config.variant is Variant.ONE_P_ONE_V:
             profiles[good] = ContributionProfile(good, ())
             funding[good] = one_p_one_v_outcome(scenario, good)
-            diagnostics[good] = GoodDiagnostics(True, 0, 0.0, damping, "vote")
+            diagnostics[good] = GoodDiagnostics(True, 0, 0.0, "vote")
             continue
         members, x, diagnostics[good], alt = _solve_good(
-            scenario, good, config, tolerance, max_iters, damping, engine)
+            scenario, good, config, tolerance, engine)
         profiles[good] = _profile_from_state(good, members, x)
         funding[good] = fund(profiles[good], config)
         if alt is not None:
@@ -881,4 +821,4 @@ def closed_form_qf_equilibrium(scenario: Scenario) -> EquilibriumResult:
         funding[good] = root * root
     return _assemble_result(
         scenario, profiles, funding,
-        {g: GoodDiagnostics(True, 0, 0.0, 0.0, "closed-form") for g in scenario.goods})
+        {g: GoodDiagnostics(True, 0, 0.0, "closed-form") for g in scenario.goods})

@@ -166,20 +166,23 @@ class TestEquilibrium:
         assert good["optimal"] == pytest.approx(36.0, rel=1e-9)
 
     def test_nonconvergence_exit_3(self, tmp_path, capsys):
-        # a harmed citizen sends PM_QF to the iterative scalar engine
+        # PM_QF with this harmed citizen has no pure equilibrium, so no
+        # candidate is certified; --max-iters is accepted and has no effect
         scenario = {
             "mechanism": {"variant": "PM_QF"},
             "goods": ["g"],
             "citizens": [
                 {"id": cid, "values": {"g": {"family": "SQRT", "params": {"a": a}}}}
-                for cid, a in (("a", 6), ("b", 5), ("h", -3))
+                for cid, a in (("s0", 1.0468), ("s1", 1.8106), ("s2", 1.4908),
+                               ("s3", 1.0763), ("h", -3.8168))
             ],
         }
         path = write(tmp_path, "s.json", scenario)
-        code = main(["equilibrium", path, "--max-iters", "3"])
-        out = capsys.readouterr().out
-        assert code == 3
-        assert "converged=False" in out
+        for flags in ([], ["--max-iters", "3"]):
+            code = main(["equilibrium", path] + flags)
+            out = capsys.readouterr().out
+            assert code == 3
+            assert "converged=False" in out
 
     @pytest.mark.parametrize("params", [{"k": math.nan, "m": 30}, {"k": 0.5, "m": math.nan},
                                         {"k": math.inf, "m": 30}, {"k": 0.5, "m": math.inf}])

@@ -20,6 +20,7 @@ from qflab import (
     solve_equilibrium,
 )
 from conftest import (
+    golden_refine,
     grid_route,
     oracle_best_response,
     oracle_funding,
@@ -27,6 +28,50 @@ from conftest import (
     random_concave_citizens,
     sqrt_scenario,
 )
+
+
+def harmed_repro():
+    """PM_QF with a harmed citizen: no pure equilibrium exists."""
+    cits = [Citizen(f"s{i}", {"g": ValueFunction.sqrt(a)})
+            for i, a in enumerate([1.0468, 1.8106, 1.4908, 1.0763])]
+    return cits + [Citizen("h", {"g": ValueFunction.sqrt(-3.8168)})]
+
+
+def brute_force_gain(scenario, good, profile, cit):
+    """How much ``cit`` gains by deviating from ``profile``: the best utility
+    over a 20,000-point geometric grid on each sign branch, refined by
+    golden section, less their own. Formulas retyped (conftest)."""
+    cfg = scenario.mechanism
+    rest = [e for e in profile.nonzero() if e.citizen_id != cit.id]
+    s_o = math.fsum(e.sign * math.sqrt(e.amount) for e in rest)
+    A_o = math.fsum(e.amount for e in rest)
+    Y_o = math.fsum(e.amount ** (1.0 / cfg.beta) for e in rest) if cfg.beta else 0.0
+    lam = cit.lam if cfg.deficit_mode is DeficitMode.SHADOW_PRICES else 0.0
+    vf = cit.values.get(good)
+
+    def utility(c, sign):
+        c = np.asarray(c, dtype=float)
+        F = np.maximum(oracle_funding(cfg, s_o, A_o, Y_o, c, sign), 0.0)
+        return oracle_value(vf, F) - c - lam * (F - (A_o + c))
+
+    mine = profile.get(cit.id)
+    own = float(utility(mine.amount, mine.sign)) if mine else float(utility(0.0, 1))
+    c_max = 4.0 * max(100.0, A_o, s_o * s_o, 10.0 * (mine.amount if mine else 0.0))
+    grid = np.geomspace(1e-10, c_max, 20_000)
+    best = float(utility(0.0, 1))
+    for sign in (1, -1) if cfg.shape.signed else (1,):
+        u = utility(grid, sign)
+        i = int(np.argmax(u))
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
+        c_ref = golden_refine(lambda c: float(utility(c, sign)), float(lo), float(hi))
+        best = max(best, float(u[i]), float(utility(c_ref, sign)))
+    return best - own, best
+
+
+def assert_brute_force_equilibrium(scenario, good, profile):
+    for cit in scenario.citizens:
+        gain, best = brute_force_gain(scenario, good, profile, cit)
+        assert gain <= 1e-7 * max(1.0, abs(best)), (cit.id, gain)
 
 
 # ---------------------------------------------------------------------------
@@ -444,16 +489,14 @@ class TestSolveEquilibrium:
         assert r.funding["g2"] == pytest.approx(4.0, rel=1e-6)
 
     def test_nonconvergence_is_diagnostic_not_exception(self):
-        # a harmed citizen sends PM_QF to the iterative scalar engine,
-        # which needs more than 3 sweeps here
-        cits = [Citizen("a", {"g": ValueFunction.sqrt(6.0)}),
-                Citizen("b", {"g": ValueFunction.sqrt(5.0)}),
-                Citizen("h", {"g": ValueFunction.sqrt(-3.0)})]
-        sc = Scenario(cits, ["g"], MechanismConfig.pm_qf())
-        r = solve_equilibrium(sc, max_iters=3)
-        assert not r.converged
-        assert r.residual > 0
-        assert r.iterations == 3
+        # the harmed-citizen repro has no pure equilibrium: the scan's
+        # result says so without raising, and max_iters has no effect
+        sc = Scenario(harmed_repro(), ["g"], MechanismConfig.pm_qf())
+        for kw in ({}, {"max_iters": 3}):
+            r = solve_equilibrium(sc, **kw)
+            assert not r.converged and r.alternate is None
+            assert r.residual > 0
+            assert r.iterations == r.diagnostics["g"].iterations
 
     @pytest.mark.parametrize("kw", [{"tolerance": math.nan}, {"tolerance": -1.0},
                                     {"tolerance": 0.0}, {"tolerance": math.inf},
@@ -474,34 +517,39 @@ class TestSolveEquilibrium:
 
     def test_harmed_citizen_driving_funding_to_zero_does_not_raise(self):
         # the harmed citizen's best response sits on the kink where its sign
-        # branch drives F to 0; the derivative is NaN there
-        cits = [Citizen(f"s{i}", {"g": ValueFunction.sqrt(a)})
-                for i, a in enumerate([1.0468, 1.8106, 1.4908, 1.0763])]
-        cits.append(Citizen("h", {"g": ValueFunction.sqrt(-3.8168)}))
+        # branch drives F to 0; the derivative is NaN there. The one root of
+        # the signed share sum, (sum a / 2)**2, is reported uncertified: the
+        # a = 1.8106 supporter's others hold T_o < 0, and it flips sign
+        cits = harmed_repro()
         sc = Scenario(cits, ["g"], MechanismConfig.pm_qf())
-        r = solve_equilibrium(sc, max_iters=20)
+        r = solve_equilibrium(sc)
         d = r.diagnostics["g"]
-        assert d.engine == "scalar" and d.iterations == 20
-        assert math.isfinite(r.funding["g"]) and math.isfinite(r.residual)
+        assert d.engine == "scalar" and not d.converged
+        half = math.fsum(c.values["g"].a for c in cits) / 2.0
+        assert r.funding["g"] == pytest.approx(half ** 2, rel=1e-12)
+        assert math.isfinite(r.residual) and r.residual > 1e-8
 
     @pytest.mark.parametrize("case", ["sqrt3", "random6"])
     def test_diverging_shadow_price_state_is_diagnostic(self, case):
         # lambda > 1 under PM_QF: each citizen offsets the others' deficit
-        # by more than it costs, and the state grows without bound
+        # by more than it costs; the signed shares w = (V' - 1.2)/(1 - 1.2)
+        # have one root and it is no equilibrium
         if case == "sqrt3":
             cits = [Citizen(f"c{a}", {"g": ValueFunction.sqrt(a)}, lam=1.2)
                     for a in (2.0, 3.0, 4.0)]
-            max_iters = 50
         else:
             cits = [Citizen(c.id, c.values, lam=1.2)
                     for c in random_concave_citizens(np.random.default_rng(1), 6)]
-            max_iters = 10000
         cfg = MechanismConfig.pm_qf(deficit_mode=DeficitMode.SHADOW_PRICES)
-        r = solve_equilibrium(Scenario(cits, ["g"], cfg), max_iters=max_iters)
-        assert not r.converged
+        r = solve_equilibrium(Scenario(cits, ["g"], cfg))
+        assert not r.converged and r.alternate is None
         assert r.diagnostics["g"].engine == "scalar"
-        assert r.residual > 0
-        assert r.iterations <= max_iters
+        assert r.residual > 1e-8
+        if case == "sqrt3":
+            # sum w = 18 - 22.5/sqrt(F) = 1; best responses exist there, and
+            # the a = 4 citizen's lies 32.47 from its -4.24
+            assert r.funding["g"] == pytest.approx((22.5 / 17.0) ** 2, rel=1e-12)
+            assert r.residual == pytest.approx(32.4706, rel=1e-5)
 
     def test_private_exact_tie_splits_equally(self):
         sc = sqrt_scenario([2.0] * 50, MechanismConfig.private())
@@ -538,56 +586,74 @@ class TestSolveEquilibrium:
 
 
 class TestScalarIteration:
-    """Sweep counts of the scalar engine's fixed-point iteration."""
+    """The scalar engine's scan: every root of the share sum, certified."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_sshaped_cqf_converges_quickly(self, seed):
-        # plain damped steps contract by only 0.82-0.91 per sweep here
+        # the interior equilibrium wins on welfare; zero is the alternate,
+        # and the scan's roots take a few dozen root-finder iterations
         rng = np.random.default_rng(seed)
         a, k, m = rng.uniform(16, 24), rng.uniform(0.4, 0.6), rng.uniform(25, 35)
         w = a * (1.0 + 0.05 * rng.uniform(-1, 1, 4))
         cits = [Citizen(f"c{j}", {"g": ValueFunction.sshaped(float(x), float(k), float(m))})
                 for j, x in enumerate(w)]
-        r = solve_equilibrium(Scenario(cits, ["g"], MechanismConfig.cqf(0.5)))
+        sc = Scenario(cits, ["g"], MechanismConfig.cqf(0.5))
+        r = solve_equilibrium(sc)
         assert r.converged and r.iterations <= 60
         assert r.funding["g"] > m
         assert r.alternate is not None and r.alternate.converged
-        assert r.alternate.iterations <= 60
         assert r.alternate.funding["g"] == 0.0
+        for state in (r, r.alternate):
+            assert_brute_force_equilibrium(sc, "g", state.contributions["g"])
 
     def test_pm_qf_with_harmed_citizen_converges_quickly(self):
-        # the supporters' best responses do not depend on the state, which
-        # plain damped steps only approach by a factor 1 - damping per sweep
+        # with SQRT values the signed shares are a_i/(2 sqrt F): one root at
+        # (sum a / 2)**2, where each pays (a_i/2)**2 with the sign of a_i
         rng = np.random.default_rng(3)
         cits = [Citizen(f"c{j}", {"g": ValueFunction.sqrt(float(a))})
                 for j, a in enumerate(rng.uniform(2.0, 6.0, 6))]
         cits.append(Citizen("h", {"g": ValueFunction.sqrt(-1.0)}))
-        r = solve_equilibrium(Scenario(cits, ["g"], MechanismConfig.pm_qf()))
+        sc = Scenario(cits, ["g"], MechanismConfig.pm_qf())
+        r = solve_equilibrium(sc)
         assert r.diagnostics["g"].engine == "scalar"
         assert r.converged and r.iterations <= 10
+        half = math.fsum(c.values["g"].a for c in cits) / 2.0
+        assert r.funding["g"] == pytest.approx(half ** 2, rel=1e-12)
+        p = r.contributions["g"]
+        for c in cits:
+            a = c.values["g"].a
+            assert p.get(c.id).sign * p.get(c.id).amount == pytest.approx(
+                math.copysign((a / 2.0) ** 2, a), rel=1e-9)
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_diverging_state_still_runs_off(self, seed):
-        # plain damped steps carry this state past where best responses
-        # exist in about 82 sweeps; mixed states that do no better are
-        # rejected, and after three in a row only plain steps follow
+        # lambda = 1.2 under PM_QF: no candidate is certified, and the
+        # residual is the welfare-best candidate's gap, measured again here
         cits = [Citizen(c.id, c.values, lam=1.2)
                 for c in random_concave_citizens(np.random.default_rng(seed), 6)]
         cfg = MechanismConfig.pm_qf(deficit_mode=DeficitMode.SHADOW_PRICES)
         r = solve_equilibrium(Scenario(cits, ["g"], cfg))
-        assert not r.converged
-        assert r.residual == math.inf
-        assert r.iterations <= 100
+        assert not r.converged and r.alternate is None
+        p = r.contributions["g"]
+        gap = 0.0
+        for cit in cits:
+            rest = [e for e in p.entries if e.citizen_id != cit.id]
+            others = ContributionProfile.from_columns(
+                "g", [e.citizen_id for e in rest], [e.amount for e in rest],
+                [e.sign for e in rest])
+            own = p.get(cit.id)
+            br = best_response_full(cit, "g", others, cfg)
+            gap = max(gap, abs(br.sign * br.amount - (own.sign * own.amount if own else 0.0)))
+        assert r.residual == pytest.approx(gap, rel=1e-9)
+        assert r.residual > 1e-8
 
     def test_stalled_solve_ends_early(self):
-        cits = [Citizen(f"s{i}", {"g": ValueFunction.sqrt(a)})
-                for i, a in enumerate([1.0468, 1.8106, 1.4908, 1.0763])]
-        cits.append(Citizen("h", {"g": ValueFunction.sqrt(-3.8168)}))
-        r = solve_equilibrium(Scenario(cits, ["g"], MechanismConfig.pm_qf()))
+        # the harmed-citizen repro: both candidates (F = 0 and the one
+        # root) fail their certificate, in a few root-finder iterations
+        r = solve_equilibrium(Scenario(harmed_repro(), ["g"], MechanismConfig.pm_qf()))
         d = r.diagnostics["g"]
         assert not r.converged and d.engine == "scalar"
-        assert r.iterations < 1000
-        assert d.damping == pytest.approx(0.5 / 8)
+        assert r.iterations < 20
         assert math.isfinite(r.residual) and r.residual > 0
 
     def test_beta_others_aggregate_never_negative(self):
@@ -612,6 +678,90 @@ class TestScalarIteration:
             own = p.get(cit.id)
             assert best_response(cit, "g", others, cfg) == pytest.approx(
                 0.0 if own is None else own.amount, rel=1e-6, abs=1e-8)
+
+
+class TestCertifiedScan:
+    """Repros the fixed-point iteration failed on, and a property check of
+    the scan against a brute-force deviation scan."""
+
+    def test_shadow_price_outsiders_certified_empty(self):
+        # outsiders pay the constant signed share -lam/(1 - lam), so the one
+        # root has T = (sum a / 2)/(1 + sum lam/(1 - lam)); no pure
+        # equilibrium exists, since sum a = 10.283 < (1 + 1.019) * 5.219:
+        # at the root the a = 5.219 supporter's others hold T_o < 0
+        a, lams = [1.944, 1.893, 1.227, 5.219], [0.289, 0.380]
+        cits = [Citizen(f"s{i}", {"g": ValueFunction.sqrt(x)}) for i, x in enumerate(a)]
+        cits += [Citizen(f"o{i}", {}, lam=x) for i, x in enumerate(lams)]
+        sc = Scenario(cits, ["g"], MechanismConfig.pm_qf(deficit_mode=DeficitMode.SHADOW_PRICES))
+        r = solve_equilibrium(sc)
+        assert not r.converged and r.alternate is None
+        assert r.diagnostics["g"].engine == "scalar"
+        T = math.fsum(a) / 2.0 / (1.0 + math.fsum(x / (1.0 - x) for x in lams))
+        assert r.funding["g"] == pytest.approx(T * T, rel=1e-12)
+        gain, _ = brute_force_gain(sc, "g", r.contributions["g"], cits[3])
+        assert gain > 0.1
+
+    def test_linear_match_sshaped_near_tie(self):
+        # the a = 21.84 member's target level V'(F) = 1/2.5 is the highest,
+        # and they pay it alone; the others best-respond 0
+        a = (19.889825820626644, 21.841922782348426, 20.44578033899531)
+        cits = [Citizen(f"c{i}", {"g": ValueFunction.sshaped(x, 0.5015265319784833,
+                                                             26.562981762723915)})
+                for i, x in enumerate(a)]
+        sc = Scenario(cits, ["g"], MechanismConfig.linear_match(2.5))
+        r = solve_equilibrium(sc)
+        assert r.converged
+        assert r.funding["g"] == pytest.approx(33.00857, rel=1e-6)
+        p = r.contributions["g"]
+        assert p.citizen_ids == ("c1",)
+        assert p.amounts[0] == pytest.approx(r.funding["g"] / 2.5, rel=1e-12)
+        assert cits[1].values["g"].marginal(r.funding["g"]) == pytest.approx(0.4, rel=1e-9)
+        assert_brute_force_equilibrium(sc, "g", p)
+
+    @pytest.mark.parametrize("beta, F", [(1.5, 36.0224), (1.2, 34.9212)])
+    def test_beta_sshaped_interior_equilibrium(self, beta, F):
+        # five S-shaped members share the threshold good at an interior
+        # level, and zero is the other equilibrium
+        cits = [Citizen(f"c{i}", {"g": ValueFunction.sshaped(20.0, 0.5, 30.0)})
+                for i in range(5)]
+        sc = Scenario(cits, ["g"], MechanismConfig.beta_rule(beta))
+        r = solve_equilibrium(sc)
+        assert r.converged
+        assert r.funding["g"] == pytest.approx(F, rel=1e-5)
+        assert r.alternate is not None and r.alternate.funding["g"] == 0.0
+        for state in (r, r.alternate):
+            assert_brute_force_equilibrium(sc, "g", state.contributions["g"])
+
+    def test_mixed_goods_are_brute_force_equilibria(self):
+        # 1-4 S-shaped and 0-3 concave members; shadow prices up to 0.5 in
+        # 30% of the goods. About a quarter of these goods have no pure
+        # equilibrium (two S-shaped members under CQF(0.5) whose best
+        # responses cycle, say); there the reported candidate must fail
+        rng = np.random.default_rng(20261020)
+        rules = [MechanismConfig.qf, lambda **kw: MechanismConfig.cqf(0.5, **kw),
+                 lambda **kw: MechanismConfig.beta_rule(1.5, **kw), MechanismConfig.private,
+                 lambda **kw: MechanismConfig.linear_match(2.0, **kw)]
+        converged = 0
+        for trial in range(40):
+            shadow = rng.uniform() < 0.3
+            vfs = [ValueFunction.sshaped(float(rng.uniform(10, 30)), float(rng.uniform(0.3, 0.8)),
+                                         float(rng.uniform(10, 40)))
+                   for _ in range(int(rng.integers(1, 5)))]
+            vfs += [c.values["g"] for c in random_concave_citizens(rng, int(rng.integers(0, 4)))]
+            cits = [Citizen(f"c{i}", {"g": vf},
+                            lam=float(rng.uniform(0.0, 0.5)) if shadow else 0.0)
+                    for i, vf in enumerate(vfs)]
+            mode = DeficitMode.SHADOW_PRICES if shadow else DeficitMode.IGNORE
+            sc = Scenario(cits, ["g"], rules[trial % len(rules)](deficit_mode=mode))
+            r = solve_equilibrium(sc)
+            if not r.converged:
+                assert max(brute_force_gain(sc, "g", r.contributions["g"], c)[0]
+                           for c in cits) > 1e-6
+                continue
+            converged += 1
+            for state in (r, r.alternate) if r.alternate else (r,):
+                assert_brute_force_equilibrium(sc, "g", state.contributions["g"])
+        assert converged >= 25
 
 
 class TestSShapedEquilibria:
