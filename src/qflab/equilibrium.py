@@ -9,11 +9,12 @@ funding level alone (``_shares``), so a good's candidate equilibria are
 F = 0 and the roots of sum_i w_i(F) = 1. Two engines find them:
 
 * the vector engine, for regular goods (every member concave with a > 0
-  and a shadow price below 1), where the sum falls in F and its one root
-  is found by a bracketed root-find. Under the linear rules (alpha = 0)
-  only the members with the largest target level pay.
+  and a shadow price below 1, or of 0 under PM_QF), where the sum falls
+  in F and its one root is found by a bracketed root-find. Under the
+  linear rules (alpha = 0) only the members with the largest target level
+  pay.
 * the scalar engine, for the rest (S-shaped values, harmed citizens and
-  deficit-averse outsiders under PM_QF, shadow prices of 1 or more), which
+  shadow prices under PM_QF, shadow prices of 1 or more), which
   scans the sum for every root and certifies each candidate against every
   member's exact best response (``solve_equilibrium`` has the details).
 
@@ -439,15 +440,14 @@ def _member_marginals(vfs):
         elif fam is Family.SSHAPED:
             k, m = np.array([vfs[j].k for j in idx]), np.array([vfs[j].m for j in idx])
         groups.append((fam, np.array(idx), a, e, k, m))
-    blank = np.empty if sum(map(len, by_family.values())) == len(vfs) else np.zeros
 
     def marginals(F) -> np.ndarray:
         if isinstance(F, float):  # the root finders' path, kept lean
-            out = blank(len(vfs))
+            out = np.zeros(len(vfs))
             for fam, idx, a, e, k, m in groups:
                 out[idx] = family_marginal(fam, F, a, e, k, m)
             return out
-        out = blank((len(F), len(vfs)))
+        out = np.zeros((len(F), len(vfs)))
         for fam, idx, a, e, k, m in groups:
             out[:, idx] = family_marginal(fam, F, a, e, k, m)
         return out
@@ -564,9 +564,9 @@ def _solve_good_vector(scenario, good_id, config, tolerance):
     V'(F_i) = (1 + lam*(scale-1))/scale; F is the largest target and the
     members at exactly that target split F/scale equally. Every other rule
     is an aggregative game: F solves sum_i w_i(F) = 1 (``_shares``) and
-    each member pays their share of the aggregate. Under PM_QF a negative
-    share leaves that member's payoff non-concave in their contribution,
-    so such a state's residual includes its certificate gap (``_gap``).
+    each member pays their share of the aggregate. On a regular good every
+    share is positive and falls in F, so F = 0 is the equilibrium exactly
+    where the shares sum to at most 1 there.
     """
     members = [
         (i, cit, cit.values[good_id])
@@ -593,8 +593,6 @@ def _solve_good_vector(scenario, good_id, config, tolerance):
             w = shares(marginals(F))
             residual = abs(float(w.sum()) - 1.0)
             x = _state(w, F, alpha, beta)
-            if np.any(w < 0.0):
-                residual = max(residual, _gap(members, lam, shape, x))
     return members, x, GoodDiagnostics(residual <= tolerance, iterations, residual, "vector")
 
 
@@ -621,13 +619,18 @@ def _candidates(members, lam, shape):
     shares = _shares(lam, shape.alpha, shape.beta, shape.signed)
     flexible = lam >= 1.0
 
+    limit = -lam / (1.0 - lam)  # a signed share at V' = 0
+
     def settled(F):
-        # past F_hi no sum can reach 1 again: the other members' positive
-        # shares only fall, and a flexible member's share at a root is at
-        # most 1, which needs V'(F) >= 1
+        # no root lies past F_hi. Past every hump_end each V' is monotone and
+        # tends to 0, so a signed share lies between its value at F and its
+        # limit. An unsigned share is at least 0 and falls, save that a
+        # flexible member's share at a root is at most 1, which needs V' >= 1
         v = marginals(F)
-        return (float(np.maximum(shares(v)[~flexible], 0.0).sum()) < 1.0
-                and bool(np.all(v[flexible] < 1.0)))
+        w = shares(v)
+        if shape.signed:
+            return np.maximum(w, limit).sum() < 1.0 or np.minimum(w, limit).sum() > 1.0
+        return w[~flexible].sum() < 1.0 and bool(np.all(v[flexible] < 1.0))
 
     grid = _level_grid([vf for vf in vfs if vf is not None], settled)
     grid_marginals = marginals(grid[:, None])
@@ -642,14 +645,23 @@ def _candidates(members, lam, shape):
         def excess(F):
             # (S - 1)/(|S| + 1) has the sign of S - 1 and stays finite
             s = float(shares(marginals(F), chosen).sum())
-            return 1.0 if s == math.inf else (s - 1.0) / (abs(s) + 1.0)
+            return math.copysign(1.0, s) if math.isinf(s) else (s - 1.0) / (abs(s) + 1.0)
 
         for j in np.flatnonzero(above[:-1] != above[1:]).tolist():
-            try:
-                F, its = brentq(excess, float(grid[j]), float(grid[j + 1]), 1e-300, 8.9e-16)
-            except (ValueError, RuntimeError):  # a NaN share in the bracket
-                continue
-            iterations += its
+            lo, hi = float(grid[j]), float(grid[j + 1])
+            e_lo, e_hi = excess(lo), excess(hi)
+            if e_lo * e_hi > 0.0:
+                # V' on floats and on the grid's arrays differ in the last
+                # bits: the sum is within rounding of 1 at one end
+                F = lo if abs(e_lo) < abs(e_hi) else hi
+            else:
+                try:  # 2,200 iterations bisect from 1e250 down to 1e-300
+                    F, its = brentq(excess, lo, hi, 1e-300, 8.9e-16, maxiter=2200)
+                except ValueError:
+                    # a NaN sum has no sign: shares of both signs are infinite
+                    # there (F = 0, or a shadow price of exactly 1)
+                    continue
+                iterations += its
             w = shares(marginals(F), chosen)
             # a bracket across a jump of the sum (a share passing +inf) holds
             # no root
@@ -703,12 +715,15 @@ def _solve_good(scenario, good_id, config, tolerance, engine):
     members = [(i, cit, cit.values.get(good_id)) for i, cit in enumerate(scenario.citizens)
                if good_id in cit.values or (signed and shadow and cit.lam > 0)]
     # regular: every member concave with a > 0 and lam < 1; harmed citizens
-    # pay nothing under the unsigned rules. SSHAPED is looked up once: a
-    # lookup through the Enum class per member doubles this check's cost
+    # pay nothing under the unsigned rules. Under PM_QF a shadow price above
+    # 0 can make a share negative, so F = 0 must be certified too. SSHAPED
+    # is looked up once: a lookup through the Enum class per member doubles
+    # this check's cost
     sshaped = Family.SSHAPED
     if engine == "vector" or engine == "auto" and all(
             vf is not None and vf.family is not sshaped and (vf.a > 0 or not signed)
-            and not (shadow and cit.lam >= 1.0) for _, cit, vf in members):
+            and not (shadow and (cit.lam >= 1.0 or signed and cit.lam > 0.0))
+            for _, cit, vf in members):
         return (*_solve_good_vector(scenario, good_id, config, tolerance), None)
     return _solve_good_scan(members, _lams(members, config), config.shape, tolerance)
 
@@ -720,8 +735,8 @@ def solve_equilibrium(scenario: Scenario, tolerance: float = 1e-8,
 
     ``engine`` may force the "vector" share-sum root or the "scalar" scan;
     "auto" picks per good (module docstring). A vector good is converged
-    when its shares sum to 1 within ``tolerance`` (and, under PM_QF with a
-    short seller, its state is certified as below). The scan's candidates
+    when its shares sum to 1 within ``tolerance``; a forced vector solve of
+    a good that is not regular is not certified. The scan's candidates
     are F = 0 and every root of sum_i w_i(F) = 1 on ``_level_grid``'s
     levels, each bracketed by a sign change and refined by brentq; a member
     with a shadow price of 1 or more is scanned both at 0 and at their

@@ -718,6 +718,48 @@ class TestCertifiedScan:
         assert cits[1].values["g"].marginal(r.funding["g"]) == pytest.approx(0.4, rel=1e-9)
         assert_brute_force_equilibrium(sc, "g", p)
 
+    def test_pm_qf_short_seller_does_not_certify_zero(self):
+        # the signed shares 3/(1 + F) and (0.1/(1 + F) - 0.9)/0.1 sum below
+        # 1 at every F, so no root exists; F = 0 is no equilibrium either,
+        # since the a = 3 member alone funds up to V'(F) = 1, F = 2
+        cits = [Citizen("a", {"g": ValueFunction.log(3.0)}),
+                Citizen("b", {"g": ValueFunction.log(0.1)}, lam=0.9)]
+        sc = Scenario(cits, ["g"], MechanismConfig.pm_qf(deficit_mode=DeficitMode.SHADOW_PRICES))
+        r = solve_equilibrium(sc)
+        assert not r.converged and r.alternate is None
+        assert r.diagnostics["g"].engine == "scalar"
+        assert r.funding["g"] == 0.0
+        assert r.residual == pytest.approx(2.0, rel=1e-9)
+        gain, _ = brute_force_gain(sc, "g", r.contributions["g"], cits[0])
+        assert gain > 0.1
+
+    def test_pm_qf_root_past_a_flexible_share_of_one(self):
+        # the lam = 1.2 member's signed share is 6 - 5/sqrt(F), the
+        # outsiders' -1 (four) and -1/2, so the sum 3/2 - 5/sqrt(F) has its
+        # root at F = 100, where the flexible share is 5.5
+        cits = [Citizen("s", {"g": ValueFunction.sqrt(2.0)}, lam=1.2)]
+        cits += [Citizen(f"o{i}", {}, lam=x) for i, x in enumerate([0.5] * 4 + [1.0 / 3.0])]
+        sc = Scenario(cits, ["g"], MechanismConfig.pm_qf(deficit_mode=DeficitMode.SHADOW_PRICES))
+        r = solve_equilibrium(sc)
+        assert r.converged
+        assert r.funding["g"] == pytest.approx(100.0, rel=1e-12)
+        p = r.contributions["g"]
+        assert p.get("s").amount == pytest.approx(55.0 ** 2, rel=1e-12)
+        assert p.get("o0").sign == -1 and p.get("o0").amount == pytest.approx(100.0, rel=1e-12)
+        assert_brute_force_equilibrium(sc, "g", p)
+
+    @pytest.mark.parametrize("cfg", [MechanismConfig.qf(), MechanismConfig.pm_qf()],
+                             ids=["QF", "PM_QF"])
+    def test_root_far_below_the_first_scan_level(self, cfg):
+        # the SQRT member's share a/(2 sqrt F) falls to 1 near F = (a/2)**2
+        # = 1e-40, far below the first scan level past 0 (about 1e-7), and
+        # the root finder bisects down to it
+        cits = [Citizen("s", {"g": ValueFunction.sshaped(20.0, 0.5, 30.0)}),
+                Citizen("q", {"g": ValueFunction.sqrt(2e-20)})]
+        r = solve_equilibrium(Scenario(cits, ["g"], cfg))
+        assert r.converged
+        assert r.funding["g"] == pytest.approx(1e-40, rel=1e-4, abs=0.0)
+
     @pytest.mark.parametrize("beta, F", [(1.5, 36.0224), (1.2, 34.9212)])
     def test_beta_sshaped_interior_equilibrium(self, beta, F):
         # five S-shaped members share the threshold good at an interior
