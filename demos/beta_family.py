@@ -23,7 +23,7 @@ citizens = [Citizen(f"c{i}", {"g": ValueFunction.sqrt(a)})
 print(f"{'beta':>5s}  {'funding':>9s}  {'V_agg':>7s}  direction")
 for beta in (1.0, 1.25, 1.5, 2.0, 2.5, 3.0):
     sc = Scenario(citizens, ["g"], MechanismConfig.beta_rule(beta))
-    r = solve_equilibrium(sc, damping=0.4)
+    r = solve_equilibrium(sc)
     print(f"{beta:5.2f}  {r.funding['g']:9.4f}  {r.marginal_report['g']:7.4f}"
           f"  {jensen_direction(beta).value}")
 print("(V_agg above 1 means underfunded, below 1 overfunded)")

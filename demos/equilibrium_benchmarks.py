@@ -30,7 +30,7 @@ configs = {
 print(f"{'regime':24s}  {'funding':>10s}  {'V_agg':>8s}  {'efficiency':>10s}")
 for name, cfg in configs.items():
     sc = Scenario(citizens, ["g"], cfg)
-    r = solve_equilibrium(sc, damping=0.3)
+    r = solve_equilibrium(sc)
     rep = welfare(sc, r.funding)
     print(f"{name:24s}  {r.funding['g']:10.4f}  {r.marginal_report['g']:8.4f}"
           f"  {rep.efficiency_ratio:10.4f}")

@@ -1,13 +1,12 @@
-"""Brent's root finder and bounded minimiser on Python floats.
+"""Brent's root finder on Python floats.
 
-Both follow Brent, *Algorithms for Minimization without Derivatives*
-(Prentice-Hall, 1973): ``brentq`` is the zero finder of chapter 4 as
-SciPy's ``optimize.brentq`` (its C ``brentq``) writes it, and
-``fminbound`` is the bounded minimiser of chapter 5 as SciPy's
-``minimize_scalar(method="bounded")`` writes it. Each keeps that code's
+``brentq`` is the zero finder of Brent, *Algorithms for Minimization
+without Derivatives* (Prentice-Hall, 1973), chapter 4, as SciPy's
+``optimize.brentq`` (its C ``brentq``) writes it. It keeps that code's
 arithmetic in the same order, so every iterate carries the same bits, and
-each keeps its failure behaviour; tests/test_brent.py pins both to SciPy's
-results.
+its failure behaviour; tests/test_brent.py pins it to SciPy's results.
+qflab finds every level, root and maximum with it: a maximum is a root of
+the derivative (``equilibrium._refine``).
 """
 
 from __future__ import annotations
@@ -16,9 +15,6 @@ import math
 
 # the smallest relative tolerance brentq accepts: 4 ulps at 1
 RTOL_MIN = 4.0 * 2.220446049250313e-16
-
-_SQRT_EPS = math.sqrt(2.2e-16)
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
 
 def brentq(f, a, b, xtol, rtol, maxiter=100):
@@ -97,88 +93,3 @@ def brentq(f, a, b, xtol, rtol, maxiter=100):
             xcur += delta if sbis > 0 else -delta
         fcur = value(xcur)
     raise RuntimeError(f"failed to converge after {maxiter} iterations")
-
-
-def fminbound(func, lo, hi, xatol, maxiter=500):
-    """(x, func(x)) at a local minimum of func on [lo, hi].
-
-    Golden-section search with parabolic steps, stopping when x is known to
-    within 2*(sqrt(2.2e-16)*|x| + xatol/3). Raises ValueError on non-finite
-    or reversed bounds. A search cut off at maxiter evaluations returns its
-    best point so far, as SciPy's does.
-    """
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("optimization bounds must be finite scalars")
-    if lo > hi:
-        raise ValueError("the lower bound exceeds the upper bound")
-    a, b = float(lo), float(hi)
-    fulc = a + _GOLDEN * (b - a)
-    nfc = xf = fulc
-    rat = e = 0.0
-    x = xf
-    fx = func(x)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-
-    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = True
-        # check for a parabolic fit
-        if abs(e) > tol1:
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            # is the parabola acceptable?
-            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 if xm >= xf else -tol1
-            else:
-                golden = True
-        if golden:
-            e = a - xf if xf >= xm else b - xf
-            rat = _GOLDEN * e
-
-        step = abs(rat)
-        if step < tol1:
-            step = tol1
-        x = xf + step if rat >= 0.0 else xf - step
-        fu = func(x)
-        num += 1
-
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-
-        if num >= maxiter:
-            break
-    return xf, fx

@@ -215,8 +215,7 @@ def _render_bundle(scenario, result, fmt):
 
 def cmd_equilibrium(args) -> int:
     scenario, _ = parse_scenario(args.scenario)
-    result = solve_equilibrium(scenario, tolerance=args.tolerance,
-                               max_iters=args.max_iters, damping=args.damping)
+    result = solve_equilibrium(scenario, tolerance=args.tolerance)
     _emit(_render_bundle(scenario, result, args.format), args.out)
     if args.contributions_out:
         Path(args.contributions_out).write_text(
@@ -272,9 +271,7 @@ def cmd_sweep(args) -> int:
                     raise ValueError(f"N must be a positive integer, got {value}")
                 trial = Scenario(_scaled_citizens(scenario, n), scenario.goods,
                                  scenario.mechanism, scenario.budget)
-            result = solve_equilibrium(trial, tolerance=args.tolerance,
-                                       max_iters=args.max_iters,
-                                       damping=args.damping)
+            result = solve_equilibrium(trial, tolerance=args.tolerance)
             if not result.converged:
                 raise QFLabError(f"no certified equilibrium (residual {result.residual:.3g})")
             rep = welfare(trial, result.funding)
@@ -383,8 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     # the solver's settings, for the subcommands that solve
     solver = argparse.ArgumentParser(add_help=False)
     solver.add_argument("--tolerance", type=float, default=1e-8)
-    solver.add_argument("--max-iters", type=int, default=10000)
-    solver.add_argument("--damping", type=float, default=0.5)
 
     parser = argparse.ArgumentParser(
         prog="qflab",

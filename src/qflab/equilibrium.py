@@ -31,11 +31,12 @@ certificate and the myopic round agents all share it):
   y = c**(1/beta).
 * the grid route, for everyone else (S-shaped values, harmed citizens,
   PM_QF's two sign branches, shadow prices): a grid scan over a geometric
-  lattice, bounded refinement, then a derivative polish.
+  lattice, its maximum refined to the root of du/dc in a neighbouring cell.
 
-Every 1-D root is Brent's root finder and every bounded refinement Brent's
-bounded minimiser, both on Python floats (``qflab._brent``). A good without
-a certified equilibrium is a diagnostic result, never an exception.
+Every level, root and maximum is a root found by Brent's root finder on
+Python floats (``qflab._brent``); a maximum is the root of its derivative.
+A good without a certified equilibrium is a diagnostic result, never an
+exception.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._brent import brentq, fminbound
+from ._brent import brentq
 from .errors import NoSolutionError, PolicyError
 from .mechanisms import (
     ContributionProfile,
@@ -159,8 +160,10 @@ def _level_grid(vfs, settled) -> np.ndarray:
 
 
 def _global_welfare_argmax(vfs: list[ValueFunction], cost: float) -> float:
-    """Global argmax of sum_i V_i(F) - cost*F over F >= 0, by grid scan plus
-    bounded refinement. Handles non-concave (S-shaped) and decreasing values."""
+    """Global argmax of sum_i V_i(F) - cost*F over F >= 0: the grid maximum
+    on ``_level_grid``, refined to the root of the derivative beside it
+    (``_refine``), or 0 where net welfare there is not positive. Handles
+    non-concave (S-shaped) and decreasing values."""
     def agg(F):
         terms = [vf.marginal(F) for vf in vfs]
         return math.fsum(t for t in terms if math.isfinite(t))
@@ -169,18 +172,10 @@ def _global_welfare_argmax(vfs: list[ValueFunction], cost: float) -> float:
     W = -cost * grid
     for vf in vfs:
         W = W + vf.value(grid)
-    i = int(np.argmax(W))
-    best_F, best_W = float(grid[i]), float(W[i])
-    if 0 < i < grid.size - 1:
-        lo, hi = float(grid[i - 1]), float(grid[i + 1])
-        F, neg_W = fminbound(
-            lambda F: -(math.fsum(vf.value(F) for vf in vfs) - cost * F),
-            lo, hi, 1e-12 * max(1.0, hi))
-        if -neg_W > best_W:
-            best_F, best_W = F, -neg_W
-    if best_W <= 0.0:
+    F = _refine(lambda F: agg(F) - cost, grid, int(np.argmax(W)))
+    if math.fsum(vf.value(F) for vf in vfs) - cost * F <= 0.0:
         return 0.0
-    return best_F
+    return F
 
 
 def optimal_funding(scenario: Scenario, good_id: str) -> float:
@@ -264,23 +259,51 @@ class _Objective:
         T = self.T_o + self.sign * y
         F = self.shape.funding(T, self.A_o + c)
         marginal = 0.0 if self.vf is None else self.vf.marginal(F)
-        # inf * 0 at a sign-branch crossing (F hits 0) yields nan; that point
-        # is never an optimum and the grid scan owns global correctness
+        # inf * 0 at a sign-branch crossing (F hits 0) yields nan, which
+        # _refine reads as 0
         return (marginal - self.lam) * self.shape.slope(T, y, self.sign) - (1.0 - self.lam)
 
     def u0(self) -> float:
         return self.u(0.0)
 
 
-# The bounded search multiplies three contribution differences together, so
-# an upper bracket much past 1e100 overflows; no best response lies there.
+# A utility includes -c, whose rounding past 1e100 exceeds 1e84 and swamps
+# any gain the grid scan could rank; no best response is sought there.
 _C_MAX = 1e100
 
 
+def _refine(slope, grid, i) -> float:
+    """The grid maximum grid[i], moved to the root of the objective's
+    derivative ``slope`` in the neighbouring cell it falls through 0 in:
+    [grid[i], grid[i+1]] where it rises at grid[i], [grid[i-1], grid[i]]
+    where it falls. Without such a sign change grid[i] stands; each
+    caller's grid ends where the slope is negative. A NaN slope reads as 0:
+    under PM_QF du/dc is NaN where a sign branch drives F to 0, and a
+    maximum on that kink is then the root brentq returns."""
+    def d(x):
+        s = slope(x)
+        return 0.0 if s != s else s
+
+    x = float(grid[i])
+    d_x = d(x)
+    if d_x > 0.0 and i + 1 < len(grid):
+        lo, hi = x, float(grid[i + 1])
+        if not d(hi) <= 0.0:
+            return x
+    elif d_x < 0.0 and i > 0:
+        lo, hi = float(grid[i - 1]), x
+        if not d(lo) >= 0.0:
+            return x
+    else:
+        return x
+    # Brent's bound on the steps is about log2(cell/tolerance)**2 = 50**2
+    return brentq(d, lo, hi, 1e-15 * max(1.0, hi), 8.9e-16, maxiter=2500)[0]
+
+
 def _maximize_branch(obj: _Objective) -> tuple[float, float]:
-    """Best positive contribution on one sign branch: geometric grid scan,
-    bounded refinement, then a derivative polish where a first-order
-    bracket exists. Raises NoSolutionError when the upper bracket passes
+    """Best positive contribution on one sign branch: the maximum of a
+    geometric grid scan, refined to the root of du/dc beside it
+    (``_refine``). Raises NoSolutionError when the upper bracket passes
     _C_MAX."""
     vf = obj.vf
     c_hi = max(1.0, obj.A_o, obj.T_o * obj.T_o, 1.0 if vf is None else vf.bracket_scale)
@@ -294,23 +317,7 @@ def _maximize_branch(obj: _Objective) -> tuple[float, float]:
             break
         c_hi *= 2.0
     grid = _geomspace(1e-9, c_hi, 256)
-    ug = obj.u(grid)
-    i = int(np.argmax(ug))
-    lo = float(grid[i - 1]) if i > 0 else 0.5 * float(grid[0])
-    hi = float(grid[i + 1]) if i + 1 < grid.size else c_hi
-    c_star = fminbound(lambda c: -obj.u(c), lo, hi, 1e-13 * max(1.0, hi))[0]
-    for w in (1e-3, 1e-2, 1e-1):
-        a2 = max(c_star * (1.0 - w), 1e-14)
-        b2 = c_star * (1.0 + w)
-        if obj.du(a2) > 0.0 > obj.du(b2):
-            try:
-                c_star = brentq(obj.du, a2, b2, 1e-15 * max(1.0, c_star), 8.9e-16)[0]
-            except ValueError:
-                # du is NaN at a sign-branch crossing (F = 0) inside the
-                # bracket; that kink has no root to polish, the bounded
-                # search's point stands
-                pass
-            break
+    c_star = _refine(obj.du, grid, int(np.argmax(obj.u(grid))))
     return c_star, obj.u(c_star)
 
 
@@ -557,43 +564,50 @@ def _linear_state(targets, F, scale) -> np.ndarray:
     return np.where(top, F / scale / np.count_nonzero(top), 0.0)
 
 
-def _solve_good_vector(scenario, good_id, config, tolerance):
+def _solve_good_vector(members, lam, shape, tolerance):
     """Equilibrium of one regular good without iterating on the state.
 
-    Under the linear rules each member's target level solves
+    The members with a > 0 pay; welfare counts every member. Under the
+    linear rules each member's target level solves
     V'(F_i) = (1 + lam*(scale-1))/scale; F is the largest target and the
     members at exactly that target split F/scale equally. Every other rule
     is an aggregative game: F solves sum_i w_i(F) = 1 (``_shares``) and
     each member pays their share of the aggregate. On a regular good every
-    share is positive and falls in F, so F = 0 is the equilibrium exactly
-    where the shares sum to at most 1 there.
+    share is positive and falls in F, so the sum has a root exactly where it
+    exceeds 1 at F = 0. F = 0 is an equilibrium exactly where it does not,
+    or where every payer has V'(0) <= 1, since a lone payer's c funds F = c.
+    With both, the welfare-better is reported and the other is the
+    alternate, as the scan does.
     """
-    members = [
-        (i, cit, cit.values[good_id])
-        for i, cit in enumerate(scenario.citizens)
-        if good_id in cit.values and cit.values[good_id].a > 0
-    ]
-    lam = _lams(members, config)
-    x = np.zeros(len(members))
-    shape = config.shape
+    vfs = [vf for _, _, vf in members]
+    paying = [j for j, vf in enumerate(vfs) if vf.a > 0]
+    members, lam = [members[j] for j in paying], lam[paying]
+    x, exact = np.zeros(len(members)), GoodDiagnostics(True, 0, 0.0, "vector")
     if shape.alpha == 0.0:
         targets = _linear_targets([vf for _, _, vf in members], lam, shape.scale)
         F = float(targets.max(initial=0.0))
         if F > 0.0:
             x = _linear_state(targets, F, shape.scale)
-        return members, x, GoodDiagnostics(True, 0, 0.0, "vector")
+        return members, x, exact, None
 
     alpha, beta = shape.alpha, shape.beta
     marginals = _member_marginals([vf for _, _, vf in members])
     shares = _shares(lam, alpha, beta, shape.signed)
-    iterations, residual = 0, 0.0
     with np.errstate(over="ignore"):  # shares near F = 0 may pass the float range
-        if shares(marginals(0.0)).sum() > 1.0:
-            F, iterations = _unit_root(lambda F: float(shares(marginals(F)).sum()))
-            w = shares(marginals(F))
-            residual = abs(float(w.sum()) - 1.0)
-            x = _state(w, F, alpha, beta)
-    return members, x, GoodDiagnostics(residual <= tolerance, iterations, residual, "vector")
+        at_zero = marginals(0.0)
+        if shares(at_zero).sum() <= 1.0:
+            return members, x, exact, None
+        F, iterations = _unit_root(lambda F: float(shares(marginals(F)).sum()))
+        w = shares(marginals(F))
+    residual = abs(float(w.sum()) - 1.0)
+    root = (_state(w, F, alpha, beta),
+            GoodDiagnostics(residual <= tolerance, iterations, residual, "vector"))
+    if not np.all(at_zero <= 1.0):
+        return (members, *root, None)
+    zero = (x, GoodDiagnostics(True, iterations, 0.0, "vector"))
+    if math.fsum(vf.value(F) for vf in vfs) - F > 0.0:
+        return (members, *root, zero)
+    return (members, *zero, root)
 
 
 # Flexible members (lam >= 1, unsigned rules) are scanned at 0 and at their
@@ -708,53 +722,50 @@ def _profile_from_state(good_id, members, x) -> ContributionProfile:
     return ContributionProfile.from_columns(good_id, ids, amounts, signs)
 
 
-def _solve_good(scenario, good_id, config, tolerance, engine):
+def _solve_good(scenario, good_id, config, tolerance):
     signed = config.shape.signed
     shadow = config.deficit_mode is DeficitMode.SHADOW_PRICES
     # deficit-averse outsiders may pay to shrink the match under PM_QF
     members = [(i, cit, cit.values.get(good_id)) for i, cit in enumerate(scenario.citizens)
                if good_id in cit.values or (signed and shadow and cit.lam > 0)]
+    lam = _lams(members, config)
     # regular: every member concave with a > 0 and lam < 1; harmed citizens
     # pay nothing under the unsigned rules. Under PM_QF a shadow price above
     # 0 can make a share negative, so F = 0 must be certified too. SSHAPED
     # is looked up once: a lookup through the Enum class per member doubles
     # this check's cost
     sshaped = Family.SSHAPED
-    if engine == "vector" or engine == "auto" and all(
-            vf is not None and vf.family is not sshaped and (vf.a > 0 or not signed)
-            and not (shadow and (cit.lam >= 1.0 or signed and cit.lam > 0.0))
-            for _, cit, vf in members):
-        return (*_solve_good_vector(scenario, good_id, config, tolerance), None)
-    return _solve_good_scan(members, _lams(members, config), config.shape, tolerance)
+    if all(vf is not None and vf.family is not sshaped and (vf.a > 0 or not signed)
+           and not (shadow and (cit.lam >= 1.0 or signed and cit.lam > 0.0))
+           for _, cit, vf in members):
+        return _solve_good_vector(members, lam, config.shape, tolerance)
+    return _solve_good_scan(members, lam, config.shape, tolerance)
 
 
 def solve_equilibrium(scenario: Scenario, tolerance: float = 1e-8,
-                      max_iters: int = 10000, damping: float = 0.5,
-                      engine: str = "auto") -> EquilibriumResult:
+                      max_iters: int = 10000, damping: float = 0.5) -> EquilibriumResult:
     """Nash equilibrium of the contribution game under the active rule.
 
-    ``engine`` may force the "vector" share-sum root or the "scalar" scan;
-    "auto" picks per good (module docstring). A vector good is converged
-    when its shares sum to 1 within ``tolerance``; a forced vector solve of
-    a good that is not regular is not certified. The scan's candidates
-    are F = 0 and every root of sum_i w_i(F) = 1 on ``_level_grid``'s
-    levels, each bracketed by a sign change and refined by brentq; a member
-    with a shadow price of 1 or more is scanned both at 0 and at their
-    share. Under the linear rules the candidates are F = 0 and each
-    member's target level. Under PM_QF each root is taken at T = +sqrt(F):
-    the game is symmetric under s -> -s, so the mirror state at -T is an
-    equilibrium exactly when that one is, and it is neither certified nor
-    reported. A candidate is certified when max_i |br_i(x) - x_i| <=
-    ``tolerance`` at its state x (``_gap``); it fails where a best response
-    does not exist. The welfare-best certified candidate is reported, with
-    the runner-up at another level as ``alternate``. Without one the good
-    is unconverged and reports its welfare-best candidate, whose gap (inf
-    where best responses do not exist) is the residual. ``iterations``
-    counts root-finder iterations. ``max_iters`` and ``damping`` are
-    validated and have no effect.
+    Each good takes the vector engine's share-sum root where it is regular
+    and the scalar engine's scan otherwise (module docstring). A vector good
+    is converged when its shares sum to 1 within ``tolerance``; F = 0 is
+    its other equilibrium where no member pays alone. The scan's
+    candidates are F = 0 and every root of sum_i w_i(F) = 1 on
+    ``_level_grid``'s levels, each bracketed by a sign change and refined by
+    brentq; a member with a shadow price of 1 or more is scanned both at 0
+    and at their share. Under the linear rules the candidates are F = 0 and
+    each member's target level. Under PM_QF each root is taken at
+    T = +sqrt(F): the game is symmetric under s -> -s, so the mirror state
+    at -T is an equilibrium exactly when that one is, and it is neither
+    certified nor reported. A candidate is certified when
+    max_i |br_i(x) - x_i| <= ``tolerance`` at its state x (``_gap``); it
+    fails where a best response does not exist. The welfare-best certified
+    candidate is reported, with the runner-up at another level as
+    ``alternate``. Without one the good is unconverged and reports its
+    welfare-best candidate, whose gap (inf where best responses do not
+    exist) is the residual. ``iterations`` counts root-finder iterations.
+    ``max_iters`` and ``damping`` are validated and have no effect.
     """
-    if engine not in ("auto", "vector", "scalar"):
-        raise ValueError(f"engine must be auto|vector|scalar, got {engine!r}")
     if not (0.0 < damping <= 1.0):
         raise ValueError("damping must lie in (0, 1]")
     if not 0.0 < tolerance < math.inf:
@@ -774,8 +785,7 @@ def solve_equilibrium(scenario: Scenario, tolerance: float = 1e-8,
             funding[good] = one_p_one_v_outcome(scenario, good)
             diagnostics[good] = GoodDiagnostics(True, 0, 0.0, "vote")
             continue
-        members, x, diagnostics[good], alt = _solve_good(
-            scenario, good, config, tolerance, engine)
+        members, x, diagnostics[good], alt = _solve_good(scenario, good, config, tolerance)
         profiles[good] = _profile_from_state(good, members, x)
         funding[good] = fund(profiles[good], config)
         if alt is not None:

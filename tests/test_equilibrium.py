@@ -68,6 +68,15 @@ def brute_force_gain(scenario, good, profile, cit):
     return best - own, best
 
 
+def vector_gap(scenario, tolerance=1e-8):
+    """The largest gap between a member's exact best response and their
+    contribution at the vector engine's state of the good "g"."""
+    cfg = scenario.mechanism
+    members, x, diag, _ = eq._solve_good(scenario, "g", cfg, tolerance)
+    assert diag.engine == "vector" and diag.converged
+    return eq._gap(members, eq._lams(members, cfg), cfg.shape, x)
+
+
 def assert_brute_force_equilibrium(scenario, good, profile):
     for cit in scenario.citizens:
         gain, best = brute_force_gain(scenario, good, profile, cit)
@@ -284,7 +293,7 @@ class TestFirstOrderRoute:
             for cfg in self.RULES.values():
                 best_response_full(cit, "g", others, cfg)
         sc = Scenario(random_concave_citizens(rng, 6), ["g"], MechanismConfig.cqf(0.5))
-        assert solve_equilibrium(sc, engine="scalar").converged
+        assert vector_gap(sc) <= 1e-8
 
     @pytest.mark.parametrize("vf, cfg, lam", [
         (ValueFunction.sshaped(20.0, 0.5, 30.0), MechanismConfig.qf(), 0.0),
@@ -353,7 +362,7 @@ class TestSolveEquilibrium:
             if trial % 2:
                 cits = cits[-3:]  # only those: nobody pays
             sc = Scenario(cits, ["g"], cfg)
-            members, x, diag = eq._solve_good_vector(sc, "g", cfg, 1e-8)
+            members, x, diag, _ = eq._solve_good(sc, "g", cfg, 1e-8)
             targets = []
             for _, cit, vf in members:
                 t = (1.0 + (cit.lam if shadow else 0.0) * (scale - 1.0)) / scale
@@ -431,12 +440,9 @@ class TestSolveEquilibrium:
         MechanismConfig.linear_match(2.0),
     ], ids=lambda cfg: f"{cfg.variant.value}{cfg.alpha or cfg.beta or cfg.scale or ''}")
     def test_engines_agree(self, cfg, n):
+        # the vector state passes the scalar engine's certificate
         cits = random_concave_citizens(np.random.default_rng(n), n)
-        sc = Scenario(cits, ["g"], cfg)
-        rv = solve_equilibrium(sc, engine="vector")
-        rs = solve_equilibrium(sc, engine="scalar")
-        assert rv.converged and rs.converged
-        assert rv.funding["g"] == pytest.approx(rs.funding["g"], rel=1e-6)
+        assert vector_gap(Scenario(cits, ["g"], cfg)) <= 1e-8
 
     def test_engines_agree_with_shadow_prices(self, rng):
         shadow = DeficitMode.SHADOW_PRICES
@@ -444,8 +450,8 @@ class TestSolveEquilibrium:
             (MechanismConfig.cqf(0.3, deficit_mode=shadow), (0.0, 0.2)),
             (MechanismConfig.beta_rule(1.6, deficit_mode=shadow), (0.0, 0.2)),
             (MechanismConfig.linear_match(2.0, deficit_mode=shadow), (0.0, 0.2)),
-            # lam >= 1 is outside the share functions' domain: auto must
-            # hand these to the scalar engine
+            # lam >= 1 is outside the share functions' domain: these go to
+            # the scalar engine
             (MechanismConfig.qf(deficit_mode=shadow), (1.2, 1.2)),
             (MechanismConfig.cqf(0.3, deficit_mode=shadow), (1.2, 1.2)),
         )
@@ -454,11 +460,11 @@ class TestSolveEquilibrium:
             for c in cits:
                 c.lam = float(rng.uniform(lam_lo, lam_hi))
             sc = Scenario(cits, ["g"], cfg)
-            ra = solve_equilibrium(sc)
-            rs = solve_equilibrium(sc, engine="scalar")
-            assert ra.converged and rs.converged
-            assert ra.diagnostics["g"].engine == ("vector" if lam_hi < 1 else "scalar")
-            assert ra.funding["g"] == pytest.approx(rs.funding["g"], rel=1e-6)
+            if lam_hi < 1:
+                assert vector_gap(sc) <= 1e-8
+            else:
+                r = solve_equilibrium(sc)
+                assert r.converged and r.diagnostics["g"].engine == "scalar"
 
     def test_deficit_outsiders_short_under_signed_rule(self):
         # a citizen with no stake in the good but a deficit stake pays to
@@ -583,6 +589,26 @@ class TestSolveEquilibrium:
         sc = sqrt_scenario([2.0, 4.0])
         r = solve_equilibrium(sc)
         assert math.fsum(r.taxes.values()) == pytest.approx(r.deficit, abs=1e-8)
+
+    @pytest.mark.parametrize("cfg, F", [(MechanismConfig.qf(), 0.8),
+                                        (MechanismConfig.cqf(0.5), 0.35),
+                                        (MechanismConfig.beta_rule(1.5), 0.27279)])
+    def test_regular_good_reports_zero_beside_its_root(self, cfg, F):
+        # V'(0) = 0.9 <= 1, so neither pays alone and F = 0 is an
+        # equilibrium beside the root of the shares' sum
+        cits = [Citizen(f"c{i}", {"g": ValueFunction.log(0.9)}) for i in range(2)]
+        sc = Scenario(cits, ["g"], cfg)
+        r = solve_equilibrium(sc)
+        assert r.converged and r.diagnostics["g"].engine == "vector"
+        assert r.funding["g"] == pytest.approx(F, rel=1e-5)
+        assert r.alternate is not None and r.alternate.funding["g"] == 0.0
+        for state in (r, r.alternate):
+            assert_brute_force_equilibrium(sc, "g", state.contributions["g"])
+        # a harmed valuer makes F = 0 the welfare-better of the two
+        sc = Scenario(cits + [Citizen("h", {"g": ValueFunction.log(-2.0)})], ["g"], cfg)
+        r = solve_equilibrium(sc)
+        assert r.converged and r.funding["g"] == 0.0
+        assert r.alternate.funding["g"] == pytest.approx(F, rel=1e-5)
 
 
 class TestScalarIteration:
@@ -892,6 +918,52 @@ class TestOnePersonOneVote:
 
 # ---------------------------------------------------------------------------
 # the best-response objective
+
+
+class TestGridRoute:
+    def test_pm_qf_crossing(self):
+        # the harmed citizen's best response cancels the others' T_o < 0,
+        # the kink where F = 0 and du/dc is NaN
+        T_o = -3.1035717570022774
+        r = eq._best_response_core(ValueFunction.sqrt(-4.925036681940243),
+                                   0.6541239889047219, MechanismConfig.pm_qf().shape,
+                                   T_o, 8.683088105749503)
+        assert r.sign == 1 and r.amount == pytest.approx(T_o * T_o, rel=1e-12)
+
+    def test_matches_brute_force(self):
+        # S-shaped, harmed and outsider members, others of both signs under
+        # PM_QF, shadow prices up to 0.9
+        rng = np.random.default_rng(20261022)
+        shadow = DeficitMode.SHADOW_PRICES
+        rules = [MechanismConfig.qf, MechanismConfig.pm_qf, MechanismConfig.private,
+                 lambda **kw: MechanismConfig.cqf(0.5, **kw),
+                 lambda **kw: MechanismConfig.beta_rule(1.5, **kw),
+                 lambda **kw: MechanismConfig.beta_rule(3.0, **kw),
+                 lambda **kw: MechanismConfig.linear_match(2.0, **kw)]
+        for trial in range(140):
+            cfg = rules[trial % len(rules)](deficit_mode=shadow)
+            kind = trial % 4
+            lam = float(rng.uniform(0.0, 0.9))
+            if kind == 0:
+                vf = ValueFunction.sshaped(float(rng.uniform(5, 60)), float(rng.uniform(0.1, 1.0)),
+                                           float(rng.uniform(5, 50)))
+            elif kind == 1:
+                vf = ValueFunction.sqrt(-float(rng.uniform(0.5, 5.0)))
+            elif kind == 2:
+                vf = None
+            else:
+                vf = random_concave_citizens(rng, 1)[0].values["g"]
+            cit = Citizen("i", {} if vf is None else {"g": vf}, lam=lam)
+            n = int(rng.integers(0, 5))
+            amounts = {f"o{j}": float(rng.uniform(0.01, 30.0)) for j in range(n)}
+            signs = [int(rng.choice([1, -1])) if cfg.shape.signed else 1 for _ in range(n)]
+            others = ContributionProfile.from_columns("g", amounts, amounts.values(), signs)
+            r = best_response_full(cit, "g", others, cfg)
+            mine = ContributionProfile.from_columns(
+                "g", [*amounts, "i"], [*amounts.values(), r.amount], [*signs, r.sign])
+            sc = Scenario([cit] + [Citizen(o, {}) for o in amounts], ["g"], cfg)
+            gain, best = brute_force_gain(sc, "g", mine, cit)
+            assert gain <= 1e-9 * max(1.0, abs(best)), (trial, gain)
 
 
 class TestObjective:
