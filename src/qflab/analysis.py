@@ -11,7 +11,7 @@ own money.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .errors import PolicyError
@@ -44,6 +44,7 @@ class JensenDirection(str, Enum):
 class GoodWelfare:
     gross: float
     cost: float
+    optimum: float  # the good's welfare-optimal funding level
 
     @property
     def net(self) -> float:
@@ -103,9 +104,9 @@ def welfare(scenario: Scenario, funding: dict[str, float]) -> WelfareReport:
         F = funding[good]
         vals = [c.values[good] for c in scenario.citizens if good in c.values]
         gross = math.fsum(vf.value(F) for vf in vals)
-        per_good[good] = GoodWelfare(gross=gross, cost=F)
-        total_terms.append(gross - F)
         F_star = optimal_funding(scenario, good)
+        per_good[good] = GoodWelfare(gross=gross, cost=F, optimum=F_star)
+        total_terms.append(gross - F)
         opt_terms.append(math.fsum(vf.value(F_star) for vf in vals) - F_star)
     total = math.fsum(total_terms)
     optimum = math.fsum(opt_terms)
@@ -143,8 +144,7 @@ def solve_alpha_for_budget(scenario: Scenario, budget: float,
 
     def deficit_at(alpha: float) -> float:
         cfg = MechanismConfig.cqf(alpha, deficit_mode=scenario.mechanism.deficit_mode)
-        trial = Scenario(scenario.citizens, scenario.goods, cfg, scenario.budget)
-        result = solve_equilibrium(trial, **solver_kwargs)
+        result = solve_equilibrium(replace(scenario, mechanism=cfg), **solver_kwargs)
         if not result.converged:
             raise PolicyError(f"no certified equilibrium at alpha={alpha}: "
                               f"residual {result.residual:.3g}")

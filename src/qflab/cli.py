@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .analysis import (
@@ -20,10 +21,9 @@ from .analysis import (
     fraud_arbitrage,
     welfare,
 )
-from .equilibrium import Scenario, optimal_funding, solve_equilibrium
+from .equilibrium import solve_equilibrium
 from .errors import QFLabError, ScenarioFormatError
 from .mechanisms import (
-    DeficitMode,
     MechanismConfig,
     Variant,
     evaluate_outcome,
@@ -106,11 +106,7 @@ def _mechanism_from_flags(args) -> MechanismConfig:
         kwargs["beta"] = args.beta
     if args.scale is not None:
         kwargs["scale"] = args.scale
-    return MechanismConfig(
-        variant=variant,
-        allow_negative=args.allow_negative or variant is Variant.PM_QF,
-        deficit_mode=DeficitMode.IGNORE,
-        **kwargs)
+    return MechanismConfig(variant, **kwargs)
 
 
 def cmd_fund(args) -> int:
@@ -151,14 +147,13 @@ def cmd_fund(args) -> int:
 
 
 def _bundle(scenario, result):
-    opt = {g: optimal_funding(scenario, g) for g in scenario.goods}
     rep = welfare(scenario, result.funding)
     rows = []
     for g in scenario.goods:
         rows.append({
             "good_id": g,
             "funding": result.funding[g],
-            "optimal": opt[g],
+            "optimal": rep.per_good[g].optimum,
             "marginal_value": result.marginal_report[g],
             "net_welfare": rep.per_good[g].net,
         })
@@ -258,19 +253,16 @@ def cmd_sweep(args) -> int:
             if args.param == "alpha":
                 cfg = MechanismConfig.cqf(
                     value, deficit_mode=scenario.mechanism.deficit_mode)
-                trial = Scenario(scenario.citizens, scenario.goods, cfg,
-                                 scenario.budget)
+                trial = replace(scenario, mechanism=cfg)
             elif args.param == "beta":
                 cfg = MechanismConfig.beta_rule(
                     value, deficit_mode=scenario.mechanism.deficit_mode)
-                trial = Scenario(scenario.citizens, scenario.goods, cfg,
-                                 scenario.budget)
+                trial = replace(scenario, mechanism=cfg)
             else:
                 n = int(value)
                 if n < 1 or n != value:
                     raise ValueError(f"N must be a positive integer, got {value}")
-                trial = Scenario(_scaled_citizens(scenario, n), scenario.goods,
-                                 scenario.mechanism, scenario.budget)
+                trial = replace(scenario, citizens=_scaled_citizens(scenario, n))
             result = solve_equilibrium(trial, tolerance=args.tolerance)
             if not result.converged:
                 raise QFLabError(f"no certified equilibrium (residual {result.residual:.3g})")
@@ -395,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--scale", type=float, default=None)
-    p.add_argument("--allow-negative", action="store_true")
     p.add_argument("--n-citizens", type=int, default=None,
                    help="population size for per-capita taxes")
     p.set_defaults(func=cmd_fund)

@@ -68,7 +68,6 @@ class Scenario:
     citizens: list[Citizen]
     goods: list[str]
     mechanism: MechanismConfig
-    budget: float | None = None
 
     def __post_init__(self):
         if not self.citizens:
@@ -82,8 +81,6 @@ class Scenario:
             if missing:
                 raise ValueError(
                     f"citizen {c.id!r} values unknown goods: {sorted(missing)}")
-        if self.budget is not None and not self.budget >= 0:
-            raise ValueError(f"budget must be nonnegative, got {self.budget!r}")
 
     @property
     def aggregate_lambda(self) -> float:

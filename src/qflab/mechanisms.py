@@ -259,13 +259,13 @@ class RuleShape:
 
 @dataclass(frozen=True)
 class MechanismConfig:
-    """Which funding rule is active plus its parameters and policies."""
+    """Which funding rule is active plus its parameters and policies. PM_QF
+    is the one signed rule: choosing it admits negative-sign contributions."""
 
     variant: Variant
     alpha: float | None = None
     scale: float | None = None
     beta: float | None = None
-    allow_negative: bool = False
     deficit_mode: DeficitMode = DeficitMode.IGNORE
 
     def __post_init__(self):
@@ -285,11 +285,6 @@ class MechanismConfig:
                 raise ValueError(f"BETA requires a finite beta >= 1, got {self.beta!r}")
         elif self.beta is not None:
             raise ValueError(f"beta only applies to BETA, not {v.value}")
-        if v is Variant.PM_QF:
-            if not self.allow_negative:
-                raise ValueError("PM_QF requires allow_negative=True")
-        elif self.allow_negative:
-            raise ValueError("allow_negative is only valid with PM_QF")
 
     @classmethod
     def private(cls, **kw) -> "MechanismConfig":
@@ -313,7 +308,6 @@ class MechanismConfig:
 
     @classmethod
     def pm_qf(cls, **kw) -> "MechanismConfig":
-        kw.setdefault("allow_negative", True)
         return cls(Variant.PM_QF, **kw)
 
     @classmethod
@@ -426,15 +420,8 @@ def fund_qf(profile: ContributionProfile) -> float:
 
 
 def fund_cqf(profile: ContributionProfile, alpha: float) -> float:
-    """alpha-mixture of QF with unmatched private contributions.
-
-    The operating range is alpha in (0, 1]; alpha=0 is additionally accepted
-    as the degenerate private-contributions limit for reference checks
-    (MechanismConfig enforces the strict range for configured runs).
-    """
-    if not (0.0 <= alpha <= 1.0):
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
-    return _fund(profile, RuleShape(float(alpha), 2.0, 1.0, False), "CQF")
+    """alpha-mixture of QF with unmatched private contributions, alpha in (0, 1]."""
+    return fund(profile, MechanismConfig.cqf(alpha))
 
 
 def fund_pm_qf(profile: ContributionProfile) -> float:

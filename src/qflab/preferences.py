@@ -312,13 +312,13 @@ class ConcavityReport:
         return not self.violations
 
 
-def concavity_audit(v: ValueFunction, grid, rel_tol: float = 1e-12) -> ConcavityReport:
+def concavity_audit(v: ValueFunction, grid) -> ConcavityReport:
     """Flag consecutive grid triples where V falls below its chord.
 
     For each triple (F1, F2, F3) concavity requires V(F2) to sit on or
     above the chord through (F1, V1) and (F3, V3). Triples straddling an
-    SSHAPED inflection can sit exactly on the chord; the relative tolerance
-    keeps those from being flagged by rounding noise.
+    SSHAPED inflection can sit exactly on the chord; a relative tolerance of
+    1e-12 keeps those from being flagged by rounding noise.
     """
     pts = [float(x) for x in grid]
     if len(pts) < 3:
@@ -331,7 +331,7 @@ def concavity_audit(v: ValueFunction, grid, rel_tol: float = 1e-12) -> Concavity
         zip(pts, pts[1:], pts[2:]), zip(vals, vals[1:], vals[2:])
     ):
         chord = v1 + (v3 - v1) * (f2 - f1) / (f3 - f1)
-        tol = rel_tol * max(abs(v1), abs(v2), abs(v3), 1.0)
+        tol = 1e-12 * max(abs(v1), abs(v2), abs(v3), 1.0)
         if v2 < chord - tol:
             violations.append((f1, f2, f3))
     return ConcavityReport(tuple(violations), len(pts) - 2)

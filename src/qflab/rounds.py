@@ -86,7 +86,6 @@ class AssurancePolicy:
     """Per-good funding thresholds; goods short of their threshold refund."""
 
     threshold: dict[str, float] = field(default_factory=dict)
-    refund_on_miss: bool = True
 
     def __post_init__(self):
         for g, t in self.threshold.items():
@@ -176,9 +175,9 @@ class RoundLedger:
 
 
 def _profile_of(good_id: str, amounts: dict[str, float]) -> ContributionProfile:
-    """The positive-sign profile of a citizen_id -> amount dict, in id order."""
-    ids = sorted(amounts)
-    return ContributionProfile.from_columns(good_id, ids, [amounts[c] for c in ids])
+    """The positive-sign profile of a citizen_id -> amount dict, in its order:
+    every rule sums with ``math.fsum``, so the order moves no bit."""
+    return ContributionProfile.from_columns(good_id, amounts.keys(), amounts.values())
 
 
 def provisional_snapshot(ledger: RoundLedger, tick: int, config: MechanismConfig,
@@ -220,29 +219,22 @@ class AgentView:
       O(holders), and copies nothing else.
 
     A policy that reads neither pays nothing for the delayed state. A view
-    built directly, by position or keyword, holds the
-    ``delayed_commitments`` it is given, and ``others_aggregates`` sums
-    them.
+    built by hand pins the state it is given in the same way, so its
+    ``delayed_commitments`` are an equal copy of that state, not the dict
+    itself.
     """
 
     __slots__ = ("tick", "own_committed", "config", "assurance", "_delayed", "_by_good")
 
-    def __init__(self, tick: int, delayed_commitments: dict[str, dict[str, float]] | None,
+    def __init__(self, tick: int, delayed_commitments: dict[str, dict[str, float]],
                  own_committed: dict[str, float], config: MechanismConfig,
                  assurance: AssurancePolicy):
         self.tick = tick
-        self._delayed = self._by_good = delayed_commitments
+        self._by_good = delayed_commitments
+        self._delayed = None
         self.own_committed = own_committed
         self.config = config
         self.assurance = assurance
-
-    @classmethod
-    def _pinned(cls, tick, by_good, own_committed, config, assurance) -> "AgentView":
-        """A view on a by-good state that nothing changes afterwards; its
-        ``delayed_commitments`` are copied out of it on first access."""
-        view = cls(tick, None, own_committed, config, assurance)
-        view._by_good = by_good
-        return view
 
     @property
     def delayed_commitments(self) -> dict[str, dict[str, float]]:
@@ -331,8 +323,6 @@ class ThresholdPledger:
 
     def propose(self, view: AgentView) -> tuple[str, EventKind, float] | None:
         assurance = view.assurance
-        if not assurance.refund_on_miss:
-            return None
         for good, share in self.shares.items():
             if good not in assurance.threshold:
                 continue
@@ -354,7 +344,7 @@ def assurance_settlement(ledger: RoundLedger, policy: AssurancePolicy,
         amounts = by_good.get(g, {})
         F = fund(_profile_of(g, amounts), config)
         threshold = policy.threshold.get(g, 0.0)
-        if F >= threshold or not policy.refund_on_miss:
+        if F >= threshold:
             settlement[g] = GoodSettlement(SettlementStatus.FUNDED, F, {})
         else:
             settlement[g] = GoodSettlement(
@@ -391,7 +381,7 @@ def run_round(scenario: Scenario, agents: dict[str, object], window_end: int,
         # view is the live state
         fixed = ledger._by_good_at(tick - delay) if delay else None
         for cid in order:
-            view = AgentView._pinned(
+            view = AgentView(
                 tick, ledger._by_good() if fixed is None else fixed,
                 {**zeros, **ledger._holdings.get(cid, zeros)}, config, policy)
             action = agents[cid].propose(view)

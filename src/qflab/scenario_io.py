@@ -24,8 +24,8 @@ from .mechanisms import (
 from .preferences import FAMILY_PARAMS, Citizen, Family, ValueFunction
 from .equilibrium import Scenario
 
-_TOP_KEYS = {"mechanism", "goods", "citizens", "budget", "round"}
-_MECH_KEYS = {"variant", "alpha", "beta", "scale", "allow_negative", "deficit_mode"}
+_TOP_KEYS = {"mechanism", "goods", "citizens", "round"}
+_MECH_KEYS = {"variant", "alpha", "beta", "scale", "deficit_mode"}
 _CITIZEN_KEYS = {"id", "lambda", "values"}
 _VALUE_KEYS = {"family", "params"}
 _ROUND_KEYS = {"window_end", "seed", "delay", "assurance", "agents"}
@@ -105,14 +105,8 @@ def _parse_mechanism(spec, where: str) -> MechanismConfig:
     for key in ("alpha", "beta", "scale"):
         if key in spec:
             kwargs[key] = _number(spec[key], f"{where}.{key}")
-    allow_negative = spec.get("allow_negative",
-                              variant is Variant.PM_QF)
-    if not isinstance(allow_negative, bool):
-        raise ScenarioFormatError(f"{where}.allow_negative: expected a boolean")
     try:
-        return MechanismConfig(
-            variant=variant, allow_negative=allow_negative,
-            deficit_mode=deficit_mode, **kwargs)
+        return MechanismConfig(variant=variant, deficit_mode=deficit_mode, **kwargs)
     except ValueError as e:
         raise ScenarioFormatError(f"{where}: {e}") from None
 
@@ -212,12 +206,8 @@ def parse_scenario(source) -> tuple[Scenario, RoundSpec | None]:
             citizens.append(Citizen(id=cid, values=values, lam=lam))
         except ValueError as e:
             raise ScenarioFormatError(f"{where}: {e}") from None
-    budget = None
-    if "budget" in data and data["budget"] is not None:
-        budget = _number(data["budget"], "budget")
     try:
-        scenario = Scenario(citizens=citizens, goods=list(goods),
-                            mechanism=mechanism, budget=budget)
+        scenario = Scenario(citizens=citizens, goods=list(goods), mechanism=mechanism)
     except ValueError as e:
         raise ScenarioFormatError(str(e)) from None
     round_spec = None
@@ -331,8 +321,9 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def contributions_to_csv(profiles, digits: int = 12) -> str:
-    """Write profiles as a contributions table with `digits` significant digits.
+def contributions_to_csv(profiles) -> str:
+    """Write profiles as a contributions table at 12 significant digits, the
+    CLI's CSV/JSON precision.
 
     Ids are quoted only where CSV needs it (``_csv_field``), so an id with a
     comma, double quote, ``\\n`` or ``\\r`` reads back unchanged through
@@ -342,6 +333,6 @@ def contributions_to_csv(profiles, digits: int = 12) -> str:
     for p in profiles:
         gid = _csv_field(p.good_id)
         for cid, amount, sign in zip(p.citizen_ids, p.amounts, p.signs):
-            lines.append(f"{_csv_field(cid)},{gid},{amount:.{digits}g},"
+            lines.append(f"{_csv_field(cid)},{gid},{amount:.12g},"
                          f"{'+1' if sign > 0 else '-1'}\n")
     return "".join(lines)

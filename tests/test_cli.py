@@ -72,6 +72,25 @@ class TestFund:
         assert main(["sweep", path, "--param", "alpha", "--grid", "0.5,1", flag, "1"]) == 2
         assert flag in capsys.readouterr().err
 
+    def test_allow_negative_flag_exit_2(self, tmp_path, capsys):
+        # the variant decides the sign rule: PM_QF alone takes negative signs
+        path = write(tmp_path, "c.csv",
+                     "citizen_id,good_id,amount,sign\na,g,9,+1\nb,g,1,-1\n")
+        assert main(["fund", path, "--variant", "PM_QF", "--allow-negative"]) == 2
+        assert "--allow-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, value", [
+        (("budget",), 100.0), (("mechanism", "allow_negative"), False)],
+        ids=["budget", "allow_negative"])
+    def test_removed_scenario_keys_exit_2(self, tmp_path, capsys, path, value):
+        scenario = json.loads(json.dumps(SCENARIO_QF))
+        target = scenario
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        assert main(["equilibrium", write(tmp_path, "s.json", scenario)]) == 2
+        assert f"unknown keys ['{path[-1]}']" in capsys.readouterr().err
+
     def test_missing_column_exit_2(self, tmp_path, capsys):
         path = write(tmp_path, "c.csv", "citizen_id,good_id\na,g\n")
         assert main(["fund", path, "--variant", "QF"]) == 2

@@ -516,11 +516,6 @@ class TestSolveEquilibrium:
         with pytest.raises(ValueError, match=next(iter(kw))):
             solve_equilibrium(Scenario(cits, ["g"], MechanismConfig.qf()), **kw)
 
-    @pytest.mark.parametrize("budget", [math.nan, -1.0])
-    def test_bad_budget_rejected(self, budget):
-        with pytest.raises(ValueError, match="budget must be nonnegative"):
-            Scenario(sqrt_scenario([1.0]).citizens, ["g"], MechanismConfig.qf(), budget)
-
     def test_harmed_citizen_driving_funding_to_zero_does_not_raise(self):
         # the harmed citizen's best response sits on the kink where its sign
         # branch drives F to 0; the derivative is NaN there. The one root of

@@ -58,7 +58,8 @@ class TestRuleValues:
 
     def test_cqf(self):
         assert fund_cqf(profile([1, 4]), 1.0) == 9
-        assert fund_cqf(profile([1, 4]), 0.0) == 5  # private limit, test-only
+        with pytest.raises(ValueError, match="alpha in"):
+            fund_cqf(profile([1, 4]), 0.0)  # as MechanismConfig.cqf(0.0)
         # 100 identities of 1000: 0.1*(100*sqrt(1000))**2 + 0.9*100000
         got = fund_cqf(profile([1000.0] * 100), 0.1)
         assert got == pytest.approx(1_090_000.0, rel=1e-12)
@@ -116,10 +117,9 @@ class TestPolicyAndValidation:
     def test_config_invariants(self):
         with pytest.raises(ValueError):
             MechanismConfig.cqf(0.0)  # config range is strict
-        with pytest.raises(ValueError):
-            MechanismConfig(Variant.QF, allow_negative=True)
-        with pytest.raises(ValueError):
-            MechanismConfig(Variant.PM_QF, allow_negative=False)
+        # choosing PM_QF is the opt-in to negative-sign contributions
+        signed = profile({"a": 9, "b": 1}, {"b": -1})
+        assert fund(signed, MechanismConfig(Variant.PM_QF)) == 4
         with pytest.raises(ValueError):
             MechanismConfig(Variant.QF, alpha=0.5)
         with pytest.raises(PolicyError):

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,7 @@ from qflab import (
     DeficitMode,
     ScenarioFormatError,
     Variant,
+    fund,
 )
 from qflab.scenario_io import (
     contributions_to_csv,
@@ -48,11 +51,26 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioFormatError, match="gamma"):
             parse_scenario(data)
 
-    def test_include_private_channel_is_no_longer_a_key(self):
+    @pytest.mark.parametrize("path, value", [
+        (("mechanism", "include_private_channel"), False),
+        (("mechanism", "allow_negative"), False),
+        (("budget",), 100.0),
+    ], ids=["include_private_channel", "allow_negative", "budget"])
+    def test_include_private_channel_is_no_longer_a_key(self, path, value):
         data = base_scenario()
-        data["mechanism"]["include_private_channel"] = False
-        with pytest.raises(ScenarioFormatError, match="unknown keys.*include_private_channel"):
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ScenarioFormatError, match=f"unknown keys.*{path[-1]}"):
             parse_scenario(data)
+
+    def test_readme_example_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+        sc, round_spec = parse_scenario(example)
+        assert sc.mechanism.variant is Variant.CQF and sc.goods == ["park"]
+        assert round_spec.assurance == {"park": 30.0}
 
     def test_unknown_value_param_rejected(self):
         data = base_scenario()
@@ -127,11 +145,12 @@ class TestScenarioParsing:
         assert sc.mechanism.alpha == 0.25
         assert sc.mechanism.deficit_mode is DeficitMode.SHADOW_PRICES
 
-    def test_pm_qf_defaults_allow_negative(self):
+    def test_pm_qf_funds_signed_profiles(self):
         data = base_scenario()
         data["mechanism"] = {"variant": "PM_QF"}
         sc, _ = parse_scenario(data)
-        assert sc.mechanism.allow_negative
+        signed = ContributionProfile.from_amounts("g", {"a": 9.0, "b": 4.0}, {"b": -1})
+        assert fund(signed, sc.mechanism) == 1.0
 
     def test_json_string_and_file(self, tmp_path):
         text = json.dumps(base_scenario())
@@ -388,15 +407,13 @@ class TestContributionsCsvRoundTrip:
 
 
 @pytest.mark.parametrize("path, value", [
-    (("budget",), float("nan")),
-    (("budget",), -1.0),
     (("round", "assurance", "g"), float("nan")),
     (("round", "assurance", "g"), -1.0),
     (("round", "agents", "b", "shares", "g"), float("nan")),
     (("round", "agents", "b", "shares", "g"), float("inf")),
     (("citizens", 0, "values", "g"), {"family": "SSHAPED",
                                       "params": {"a": 20, "k": float("nan"), "m": 30}}),
-], ids=["budget-nan", "budget-negative", "threshold-nan", "threshold-negative",
+], ids=["threshold-nan", "threshold-negative",
         "share-nan", "share-inf", "sshaped-k-nan"])
 def test_nan_and_negative_numbers_rejected(path, value):
     data = TestRoundBlock().round_block()
