@@ -140,20 +140,21 @@ def _geomspace(lo: float, hi: float, num: int) -> np.ndarray:
 
 
 def _level_grid(vfs, settled) -> np.ndarray:
-    """Funding levels on which to scan a good: 0, 3000 geometric from
-    1e-9*F_hi and 3000 linear up to F_hi. F_hi is the first doubling from 1
-    at which every value is past its hump_end and ``settled(F_hi)`` holds,
-    or the first past 1e250."""
+    """Funding levels on which to scan a good, sorted without repeats
+    (np.unique would import numpy.ma): 0, 3000 geometric from 1e-9*F_hi and
+    3000 linear up to F_hi. F_hi is the first doubling from 1 past 1e250 or
+    at which every value is past its hump_end and ``settled(F_hi)`` holds."""
     F_hi = 1.0
     while F_hi < 1e250:
         if all(F_hi >= vf.hump_end for vf in vfs) and settled(F_hi):
             break
         F_hi *= 2.0
-    return np.unique(np.concatenate([
+    levels = np.sort(np.concatenate([
         [0.0],
         _geomspace(1e-9 * max(F_hi, 1.0), F_hi, 3000),
         np.linspace(0.0, F_hi, 3000),
     ]))
+    return levels[np.append(True, levels[1:] != levels[:-1])]
 
 
 def _global_welfare_argmax(vfs: list[ValueFunction], cost: float) -> float:
@@ -427,10 +428,10 @@ def best_response(citizen: Citizen, good_id: str, others: ContributionProfile,
 
 
 def _member_marginals(vfs):
-    """Per-member V'(F) at one level F, or one row per level of a column of
-    levels: one ``family_marginal`` call per family, with the members
-    grouped once and an ISOELASTIC group's a*rho and rho - 1 formed once.
-    A member whose value is None (an outsider) has V' = 0."""
+    """Per-member V'(F) at one level F, or a (members, levels) array at a
+    vector of levels: one ``family_marginal`` call per family, with the
+    members grouped once and an ISOELASTIC group's a*rho and rho - 1 formed
+    once. A member whose value is None (an outsider) has V' = 0."""
     by_family = {}
     for j, vf in enumerate(vfs):
         if vf is not None:
@@ -451,9 +452,9 @@ def _member_marginals(vfs):
             for fam, idx, a, e, k, m in groups:
                 out[idx] = family_marginal(fam, F, a, e, k, m)
             return out
-        out = np.zeros((len(F), len(vfs)))
-        for fam, idx, a, e, k, m in groups:
-            out[:, idx] = family_marginal(fam, F, a, e, k, m)
+        out = np.zeros((len(vfs), len(F)))
+        for fam, idx, *params in groups:
+            out[idx] = family_marginal(fam, F, *(p if p is None else p[:, None] for p in params))
         return out
 
     return marginals
@@ -461,8 +462,8 @@ def _member_marginals(vfs):
 
 def _shares(lam: np.ndarray, alpha: float, beta: float, signed: bool):
     """Each member's first-order share w_i of the rule's aggregate T, as a
-    function of their marginal values V'(F) (one row per level, members
-    last).
+    function of their marginal values V'(F): one per member, or one row per
+    member and column per level, with ``lam`` and ``chosen`` as columns.
 
     The quadratic rules are the power family at beta = 2, and CQF mixes in
     the linear rule with weight 1 - alpha (alpha = 1 otherwise). With
@@ -644,14 +645,15 @@ def _candidates(members, lam, shape):
         return w[~flexible].sum() < 1.0 and bool(np.all(v[flexible] < 1.0))
 
     grid = _level_grid([vf for vf in vfs if vf is not None], settled)
-    grid_marginals = marginals(grid[:, None])
+    grid_marginals = marginals(grid)
+    grid_shares = _shares(lam[:, None], shape.alpha, shape.beta, shape.signed)
     flex = [] if shape.signed else np.flatnonzero(flexible).tolist()
     patterns = itertools.islice(itertools.chain.from_iterable(
         itertools.combinations(flex, size) for size in range(len(flex) + 1)), _MAX_PATTERNS)
     for pattern in patterns:
         chosen = np.zeros(n, dtype=bool)
         chosen[list(pattern)] = True
-        above = shares(grid_marginals, chosen).sum(axis=1) > 1.0
+        above = grid_shares(grid_marginals, chosen[:, None]).sum(axis=0) > 1.0
 
         def excess(F):
             # (S - 1)/(|S| + 1) has the sign of S - 1 and stays finite

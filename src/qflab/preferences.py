@@ -20,10 +20,10 @@ Every family formula, parameter name (``FAMILY_PARAMS``, read by
 (``bracket_scale``, ``hump_end``, ``inflection``) lives here; other modules
 branch on a family only to route a good to an engine. ``value`` and
 ``marginal`` take a Python float or int F (``np.float64`` is a float) on
-Python floats, with the array path's bits, and anything else as an array.
-The array form of V' is ``family_marginal``: ``ValueFunction.marginal``
-calls it with one citizen's parameters, the vector engine with one per
-member, ISOELASTIC's formed once per solve.
+Python floats, with the array path's bits (both take exp from ``np.exp``),
+and anything else as an array. The array form of V' is ``family_marginal``:
+``ValueFunction.marginal`` calls it with one citizen's parameters, the
+engines with one per member, ISOELASTIC's formed once per solve.
 """
 
 from __future__ import annotations
@@ -69,22 +69,20 @@ def _as_float_array(F):
 
 
 def _expit(x: float) -> float:
-    """The logistic 1/(1 + exp(-x)) on one float, with ``math.exp``; above
-    -709 this is SciPy's ``expit`` bit for bit. At -709 and below exp(-x)
-    would overflow, so there it is e/(1 + e) with e = exp(x)."""
+    """The logistic 1/(1 + exp(-x)) on one float. At -709 and below exp(-x)
+    would overflow, so there it is e/(1 + e) with e = exp(x). The
+    exponential is ``np.exp``'s, so the bits are ``_expit_array``'s."""
     if x > -709.0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
+        return 1.0 / (1.0 + float(np.exp(-x)))
+    e = float(np.exp(x))
     return e / (1.0 + e)
 
 
 def _expit_array(x) -> np.ndarray:
-    """``_expit`` on each element, with its bits: each exponential comes
-    from ``math.exp`` (numpy's vectorised exp differs in the last bit), and
-    the sums and quotients, which IEEE rounds alike, from numpy."""
+    """``_expit`` on each element, with its bits: one ``np.exp`` over the
+    array, then the same sums and quotients, which IEEE rounds alike."""
     high = x > -709.0
-    arg = np.where(high, -x, x)
-    e = np.fromiter(map(math.exp, arg.ravel().tolist()), float, arg.size).reshape(arg.shape)
+    e = np.exp(np.where(high, -x, x))
     return np.where(high, 1.0 / (1.0 + e), e / (1.0 + e))
 
 

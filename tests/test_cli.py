@@ -507,3 +507,21 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_sshaped_solve_loads_no_numpy_ma():
+    # the scan's level grid avoids np.unique, whose first call imports
+    # numpy.ma (numpy before 2.0 imports it with numpy itself)
+    src = str(Path(qflab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys, qflab.cli; from qflab import *; "
+            "before = 'numpy.ma' in sys.modules; "
+            "cits = [Citizen(f'c{i}', {'g': ValueFunction.sshaped(20.0, 0.5, 30.0)}) "
+            "for i in range(3)]; "
+            "r = solve_equilibrium(Scenario(cits, ['g'], MechanismConfig.qf())); "
+            "assert r.converged and r.alternate is not None; "
+            "print(before, 'numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    before, after = out.split()
+    assert after == before

@@ -183,6 +183,25 @@ class TestFloatPath:
             whole = getattr(vf, method)(np.array(Fs)).tolist()
             assert all(same_bits(getattr(vf, method)(F), w) for F, w in zip(Fs, whole))
 
+    def test_expit_bits_do_not_depend_on_array_position(self, rng):
+        # numpy's exp runs SIMD blocks and a masked tail: each element of
+        # any length and alignment must carry the float path's bits
+        from qflab.preferences import _expit, _expit_array
+        special = np.array([-709.0, np.nextafter(-709.0, 0.0), np.nextafter(-709.0, -1e3),
+                            -745.2, -1e3, 0.0, -0.0, 709.0, 1e3,
+                            math.inf, -math.inf, math.nan])
+        for n in range(1, 18):
+            for offset in (0, 1, 3, 7):
+                x = np.concatenate([rng.uniform(-40.0, 40.0, n), rng.uniform(-760.0, -660.0, n),
+                                    rng.choice(special, n)])
+                rng.shuffle(x)
+                buf = np.zeros(offset + n)
+                buf[offset:] = x[:n]
+                for view in (buf[offset:], x[::3], x):
+                    got = _expit_array(view).tolist()
+                    assert all(same_bits(g, _expit(v)) for g, v in zip(got, view.tolist())), \
+                        (n, offset, view)
+
     @pytest.mark.parametrize("F", [-1.0, -1, np.float64(-1.0), -5e-324])
     def test_negative_rejected_as_on_arrays(self, F):
         for vf in (ValueFunction.sqrt(1.0), ValueFunction.log(-1.0),
@@ -213,14 +232,37 @@ class TestFloatPath:
             return out
 
         for n in (1, 5, 40):
-            vfs = [vf for _ in range(n) for vf in signed_families(rng)[1:]]
+            vfs = [vf for _ in range(n) for vf in signed_families(rng)]
+            sshaped = [j for j, vf in enumerate(vfs) if vf.family is Family.SSHAPED]
             marginals = _member_marginals(vfs)
             Fs = np.concatenate([self.EDGES, np.exp(rng.uniform(-40.0, 40.0, 30))])
             for F in Fs.tolist():
                 got = marginals(F)
                 want = array_reference(vfs, F)
+                # the float path, which has the array path's bits
+                want[sshaped] = [vfs[j].marginal(F) for j in sshaped]
                 assert got.shape == want.shape == (len(vfs),)
                 assert all(same_bits(x, y) for x, y in zip(got.tolist(), want.tolist())), F
+
+    def test_member_marginals_by_level(self, rng):
+        # the scan's (members, levels) array: column j is the float path at
+        # level j. ISOELASTIC is left out: numpy may take another power loop
+        # for a row of levels than for one level
+        from qflab.equilibrium import _member_marginals
+
+        for _ in range(5):
+            vfs = [vf for _ in range(3) for vf in signed_families(rng)
+                   if vf.family is not Family.ISOELASTIC]
+            vfs.append(ValueFunction.sshaped(3.0, 10.0, 100.0))  # past exp's range
+            marginals = _member_marginals(vfs)
+            grid = np.concatenate([[0.0, -0.0, 5e-324, 1e-310, 1e-300, math.inf, math.nan],
+                                   np.exp(rng.uniform(-40.0, 40.0, 200)),
+                                   rng.uniform(0.0, 200.0, 200)])
+            got = marginals(grid)
+            assert got.shape == (len(vfs), len(grid))
+            for j, F in enumerate(grid.tolist()):
+                assert all(same_bits(x, y) for x, y in
+                           zip(got[:, j].tolist(), marginals(F).tolist())), F
 
 
 class TestInverseMarginal:
