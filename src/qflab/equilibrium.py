@@ -6,22 +6,17 @@ T = sum_i sign_i*c_i**(1/beta) and A = sum_i c_i (the rule's ``RuleShape``,
 in mechanisms). The game is aggregative in T (Cornes & Hartley 2007): each
 member's first-order condition fixes their share w_i(F) of T from the
 funding level alone (``_shares``), so a good's candidate equilibria are
-F = 0 and the roots of sum_i w_i(F) = 1. Two engines find them:
-
-* the vector engine, for regular goods (every member concave with a > 0
-  and a shadow price below 1, or of 0 under PM_QF), where the sum falls
-  in F and its one root is found by a bracketed root-find. Under the
-  linear rules (alpha = 0) only the members with the largest target level
-  pay.
-* the scalar engine, for the rest (S-shaped values, harmed citizens and
-  shadow prices under PM_QF, shadow prices of 1 or more), which
-  scans the sum for every root and certifies each candidate against every
-  member's exact best response (``solve_equilibrium`` has the details).
+F = 0 and the roots of sum_i w_i(F) = 1 (under the linear rules, alpha = 0,
+each member's target level), and its welfare optimum is F = 0 or a root of
+sum_i V_i'(F) = 1. One root search finds both (``_roots``). A candidate is
+reported once certified, by one of two certificates: on a regular good
+(every member concave with a > 0 and a shadow price below 1, or of 0 under
+PM_QF), where every share falls in F and the sum has one root, its shares
+sum to 1; on every other good each member's exact best response is checked.
 
 A best response sees the others only through their aggregates T_o and
-A_o: a contribution c with sign s gives F = funding(T_o + s*c**(1/beta),
-A_o + c). It takes one of two routes (``best_response_full``, the
-certificate and the myopic round agents all share it):
+A_o, and takes one of two routes (``best_response_full``, the certificate
+and the myopic round agents all share it):
 
 * the first-order route, for a concave family with a > 0, no shadow price
   and an unsigned rule. Each such rule makes F concave in c, so the
@@ -33,14 +28,15 @@ certificate and the myopic round agents all share it):
   PM_QF's two sign branches, shadow prices): a grid scan over a geometric
   lattice, its maximum refined to the root of du/dc in a neighbouring cell.
 
-Every level, root and maximum is a root found by Brent's root finder on
-Python floats (``qflab._brent``); a maximum is the root of its derivative.
-A good without a certified equilibrium is a diagnostic result, never an
-exception.
+Every root and maximum (a root of its derivative) is found by Brent's
+root finder on Python floats (``qflab._brent``). A good without a
+certified equilibrium is a diagnostic result, never an exception.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -97,6 +93,10 @@ class BestResponseResult:
 
 @dataclass(frozen=True)
 class GoodDiagnostics:
+    """``engine`` names the certificate: ``vector`` (the shares sum to 1
+    within ``residual``), ``scalar`` (``residual`` is the largest gap to a
+    member's exact best response), ``vote`` (ONE_P_ONE_V) or ``closed-form``."""
+
     converged: bool
     iterations: int
     residual: float
@@ -139,72 +139,42 @@ def _geomspace(lo: float, hi: float, num: int) -> np.ndarray:
     return out
 
 
-def _level_grid(vfs, settled) -> np.ndarray:
-    """Funding levels on which to scan a good, sorted without repeats
-    (np.unique would import numpy.ma): 0, 3000 geometric from 1e-9*F_hi and
-    3000 linear up to F_hi. F_hi is the first doubling from 1 past 1e250 or
-    at which every value is past its hump_end and ``settled(F_hi)`` holds."""
-    F_hi = 1.0
-    while F_hi < 1e250:
-        if all(F_hi >= vf.hump_end for vf in vfs) and settled(F_hi):
-            break
-        F_hi *= 2.0
-    levels = np.sort(np.concatenate([
-        [0.0],
-        _geomspace(1e-9 * max(F_hi, 1.0), F_hi, 3000),
-        np.linspace(0.0, F_hi, 3000),
-    ]))
-    return levels[np.append(True, levels[1:] != levels[:-1])]
+def _welfare_optimum(vfs: list[ValueFunction], cost: float) -> float:
+    """The F >= 0 that maximises sum_i V_i(F) - cost*F: the best of its
+    local maxima, each a root where sum_i V_i'(F) falls through cost
+    (``_roots``), and of F = 0 where welfare does not rise from it. Ties go
+    to 0."""
+    marginals = _member_marginals(vfs)
 
+    def total(F):
+        return float(marginals(F).sum()) / cost
 
-def _global_welfare_argmax(vfs: list[ValueFunction], cost: float) -> float:
-    """Global argmax of sum_i V_i(F) - cost*F over F >= 0: the grid maximum
-    on ``_level_grid``, refined to the root of the derivative beside it
-    (``_refine``), or 0 where net welfare there is not positive. Handles
-    non-concave (S-shaped) and decreasing values."""
-    def agg(F):
-        terms = [vf.marginal(F) for vf in vfs]
-        return math.fsum(t for t in terms if math.isfinite(t))
-
-    grid = _level_grid(vfs, lambda F: agg(F) < cost)
-    W = -cost * grid
-    for vf in vfs:
-        W = W + vf.value(grid)
-    F = _refine(lambda F: agg(F) - cost, grid, int(np.argmax(W)))
-    if math.fsum(vf.value(F) for vf in vfs) - cost * F <= 0.0:
-        return 0.0
-    return F
+    roots, _ = _roots(total, lambda v: v.sum(axis=0) / cost,
+                      _levels(vfs, marginals, lambda F: total(F) < 1.0), vfs, [1] * len(vfs))
+    # welfare rises from 0 exactly where the sum falls through its first root
+    maxima = [0.0] * (not roots or not roots[0][1]) + [F for F, falls in roots if falls]
+    if len(maxima) == 1:
+        return maxima[0]
+    return max(maxima, key=lambda F: math.fsum(vf.value(F) for vf in vfs) - cost * F)
 
 
 def optimal_funding(scenario: Scenario, good_id: str) -> float:
-    """Welfare-optimal funding level for one good.
-
-    Concave case: 0 when the aggregate marginal value at 0 is at most 1,
-    otherwise the unique root of aggregate marginal = 1 (bracketed
-    root-find). Non-concave values (S-shaped, or harmed citizens) route to
-    a global welfare maximization.
-    """
+    """Welfare-optimal funding level for one good (``_welfare_optimum``):
+    for concave values 0 when the aggregate marginal value at 0 is at most
+    1, otherwise the one root of aggregate marginal = 1."""
     vals = _valuing(scenario, good_id)
     if good_id not in scenario.goods:
         raise ValueError(f"unknown good {good_id!r}")
-    if not vals:
-        return 0.0
-    vfs = [vf for _, vf in vals]
-    if any(not vf.concave for vf in vfs):
-        return _global_welfare_argmax(vfs, cost=1.0)
-    agg0 = aggregate_marginal([c for c, _ in vals], good_id, 0.0)
-    if agg0 <= 1.0:
-        return 0.0
-    marginals = _member_marginals(vfs)
-    return _unit_root(lambda F: float(marginals(F).sum()))[0]
+    return _welfare_optimum([vf for _, vf in vals], 1.0)
 
 
 def one_p_one_v_outcome(scenario: Scenario, good_id: str) -> float:
     """Funding chosen by majority vote with per-capita financing.
 
-    Every citizen has a preferred level solving V'(F) = 1/N (zero when even
-    the marginal at 0 falls short; zero-value citizens prefer zero). The
-    outcome is the median preferred level, lower median for even N.
+    Every citizen prefers the argmax of V(F) - F/N: for a concave V the
+    root of V'(F) = 1/N (zero when even the marginal at 0 falls short;
+    zero-value citizens prefer zero). The outcome is the median preferred
+    level, lower median for even N.
     """
     n = len(scenario.citizens)
     share = 1.0 / n
@@ -214,11 +184,9 @@ def one_p_one_v_outcome(scenario: Scenario, good_id: str) -> float:
         if vf is None or vf.a < 0:
             preferred.append(0.0)
         elif not vf.concave:
-            preferred.append(_global_welfare_argmax([vf], cost=share))
-        elif vf.marginal(0.0) <= share:
-            preferred.append(0.0)
+            preferred.append(_welfare_optimum([vf], share))
         else:
-            preferred.append(vf.inverse_marginal(share))
+            preferred.append(0.0 if vf.marginal(0.0) <= share else vf.inverse_marginal(share))
     preferred.sort()
     return preferred[(n - 1) // 2]
 
@@ -424,7 +392,7 @@ def best_response(citizen: Citizen, good_id: str, others: ContributionProfile,
 
 
 # ---------------------------------------------------------------------------
-# the engines: roots of the share sum in F
+# the root search and the candidate equilibria
 
 
 def _member_marginals(vfs):
@@ -542,18 +510,20 @@ def _lams(members, config) -> np.ndarray:
     return np.array([cit.lam if shadow else 0.0 for _, cit, _ in members])
 
 
-def _linear_targets(vfs, lam, scale) -> np.ndarray:
-    """Each member's target level under the linear rules: the F where
+def _linear_targets(vfs, lam, scale):
+    """Each member's target level under the linear rules, the F where
     V'(F) = t = (1 + lam*(scale-1))/scale on the decreasing branch of V'
-    (for an S-shaped member the one local maximum of V(F) - t*F), or 0
-    where there is none."""
-    targets = np.zeros(len(vfs))
+    (for an S-shaped member the one local maximum of V(F) - t*F) or 0 where
+    there is none, and the largest target of a concave member."""
+    targets, floor, sshaped = np.zeros(len(vfs)), 0.0, Family.SSHAPED
     for j, (vf, t) in enumerate(zip(vfs, ((1.0 + lam * (scale - 1.0)) / scale).tolist())):
         try:
-            targets[j] = vf.inverse_marginal(t)
+            targets[j] = target = vf.inverse_marginal(t)
         except NoSolutionError:
-            pass
-    return targets
+            continue
+        if vf.family is not sshaped and target > floor:
+            floor = target
+    return targets, floor
 
 
 def _linear_state(targets, F, scale) -> np.ndarray:
@@ -562,50 +532,98 @@ def _linear_state(targets, F, scale) -> np.ndarray:
     return np.where(top, F / scale / np.count_nonzero(top), 0.0)
 
 
-def _solve_good_vector(members, lam, shape, tolerance):
-    """Equilibrium of one regular good without iterating on the state.
+def _levels(vfs, marginals, settled):
+    """A piece [lo, hi]'s scan levels, once each: its finite ends and the
+    grid's levels inside it, with V' on them (members by levels). The grid
+    is 0, 3000 geometric levels from 1e-9*F_hi and 3000 linear up to F_hi,
+    the first doubling from 1 past 1e250 or at which every value is past its
+    hump_end and ``settled(F_hi)`` holds; np.unique would import numpy.ma."""
+    @functools.cache
+    def grid():
+        F_hi = 1.0
+        while F_hi < 1e250 and not (
+                all(F_hi >= vf.hump_end for vf in vfs if vf is not None) and settled(F_hi)):
+            F_hi *= 2.0
+        g = np.sort(np.concatenate([
+            [0.0], _geomspace(1e-9 * F_hi, F_hi, 3000), np.linspace(0.0, F_hi, 3000)]))
+        return g[np.append(True, g[1:] != g[:-1])]
 
-    The members with a > 0 pay; welfare counts every member. Under the
-    linear rules each member's target level solves
-    V'(F_i) = (1 + lam*(scale-1))/scale; F is the largest target and the
-    members at exactly that target split F/scale equally. Every other rule
-    is an aggregative game: F solves sum_i w_i(F) = 1 (``_shares``) and
-    each member pays their share of the aggregate. On a regular good every
-    share is positive and falls in F, so the sum has a root exactly where it
-    exceeds 1 at F = 0. F = 0 is an equilibrium exactly where it does not,
-    or where every payer has V'(0) <= 1, since a lone payer's c funds F = c.
-    With both, the welfare-better is reported and the other is the
-    alternate, as the scan does.
+    @functools.cache
+    def levels(lo, hi):
+        g = grid()
+        lv = np.concatenate(([lo], g[(g > lo) & (g < hi)], [hi] if hi < math.inf else []))
+        return lv, marginals(lv)
+
+    return levels
+
+
+def _roots(total, level_sums, levels, vfs, rises):
+    """Every F >= 0 with total(F) = 1 as (F, falls) pairs, ``falls`` where
+    the sum falls through 1, and the root finder's iteration count. Each
+    term of total depends on F only through one member's V'(F) (``vfs``,
+    None for V' = 0), in the direction ``rises`` gives (1, -1, 0 constant,
+    None neither). A concave V' falls where a > 0 and rises where a < 0, an
+    S-shaped one rises below its inflection m and falls above, so [0, inf)
+    is split at the distinct m. Where no two terms move apart the sum is
+    monotone: its ends (at inf its limit, every V' 0) show whether it
+    crosses 1, and one bracket (``_unit_root``'s from 0 to inf where it
+    falls) finds where. Elsewhere every sign change of ``level_sums`` on
+    ``levels(lo, hi)`` brackets a root.
     """
-    vfs = [vf for _, _, vf in members]
-    paying = [j for j, vf in enumerate(vfs) if vf.a > 0]
-    members, lam = [members[j] for j in paying], lam[paying]
-    x, exact = np.zeros(len(members)), GoodDiagnostics(True, 0, 0.0, "vector")
-    if shape.alpha == 0.0:
-        targets = _linear_targets([vf for _, _, vf in members], lam, shape.scale)
-        F = float(targets.max(initial=0.0))
-        if F > 0.0:
-            x = _linear_state(targets, F, shape.scale)
-        return members, x, exact, None
+    def excess(F):
+        # (S - 1)/(|S| + 1) has the sign of S - 1 and stays finite
+        s = total(F)
+        return math.copysign(1.0, s) if math.isinf(s) else (s - 1.0) / (abs(s) + 1.0)
 
-    alpha, beta = shape.alpha, shape.beta
-    marginals = _member_marginals([vf for _, _, vf in members])
-    shares = _shares(lam, alpha, beta, shape.signed)
-    with np.errstate(over="ignore"):  # shares near F = 0 may pass the float range
-        at_zero = marginals(0.0)
-        if shares(at_zero).sum() <= 1.0:
-            return members, x, exact, None
-        F, iterations = _unit_root(lambda F: float(shares(marginals(F)).sum()))
-        w = shares(marginals(F))
-    residual = abs(float(w.sum()) - 1.0)
-    root = (_state(w, F, alpha, beta),
-            GoodDiagnostics(residual <= tolerance, iterations, residual, "vector"))
-    if not np.all(at_zero <= 1.0):
-        return (members, *root, None)
-    zero = (x, GoodDiagnostics(True, iterations, 0.0, "vector"))
-    if math.fsum(vf.value(F) for vf in vfs) - F > 0.0:
-        return (members, *root, zero)
-    return (members, *zero, root)
+    fixed, humps, sshaped = set(), [], Family.SSHAPED
+    for vf, r in zip(vfs, rises):
+        if vf is None or r == 0:
+            continue
+        if vf.family is sshaped:
+            humps.append((float(vf.m), r))
+        else:
+            fixed.add(r if r is None or vf.a < 0 else -r)
+    ends = [0.0, *sorted({m for m, _ in humps}), math.inf]
+    found, iterations, brackets = [], 0, []
+    for lo, hi in zip(ends, ends[1:]):
+        ways = fixed.union(r if r is None or hi <= m else -r for m, r in humps)
+        if None in ways or len(ways) > 1:
+            lv, v = levels(lo, hi)
+            above = level_sums(v) > 1.0
+            cells = lv[np.flatnonzero(above[:-1] != above[1:])[:, None] + [0, 1]].tolist()
+            brackets += [(a, b, excess(a), excess(b)) for a, b in cells]
+            continue
+        e_lo, e_hi = excess(lo), excess(hi)
+        if not e_lo * e_hi <= 0.0 or hi == math.inf and e_hi == 0.0:
+            continue
+        if hi == math.inf and lo == 0.0 and e_lo > 0.0:
+            # _unit_root keeps a regular good's bits; a root it cannot
+            # bracket (past 1e200 or below 1e-200) is bracketed below
+            with contextlib.suppress(ValueError):
+                F, its = _unit_root(total)
+                found.append((F, True))
+                iterations += its
+                continue
+        if hi == math.inf:
+            hi = max(1.0, 2.0 * lo)  # up to inf at worst, where the limit lies
+            while (e_hi := excess(hi)) * e_lo > 0.0:
+                lo, e_lo, hi = hi, e_hi, 2.0 * hi
+        brackets.append((lo, hi, e_lo, e_hi))
+    for lo, hi, e_lo, e_hi in brackets:
+        if e_lo * e_hi > 0.0:
+            # V' on floats and on the levels' arrays differ in the last
+            # bits: the sum is within rounding of 1 at one end
+            F = lo if abs(e_lo) < abs(e_hi) else hi
+        else:
+            try:  # 2,200 iterations bisect from 1e250 down to 1e-300
+                F, its = brentq(excess, lo, hi, 1e-300, 8.9e-16, maxiter=2200)
+            except ValueError:
+                # a NaN sum has no sign: shares of both signs are infinite
+                # there (F = 0, or a shadow price of exactly 1)
+                continue
+            iterations += its
+        found.append((F, e_hi < e_lo))
+    return found, iterations
 
 
 # Flexible members (lam >= 1, unsigned rules) are scanned at 0 and at their
@@ -614,24 +632,23 @@ _MAX_PATTERNS = 1024
 
 
 def _candidates(members, lam, shape):
-    """Candidate equilibria of one good as (F, signed state) pairs, and the
-    root finder's iteration count: F = 0, then under the linear rules each
-    member's target level, otherwise each root of the share sum on the
-    scan grid."""
-    n = len(members)
-    vfs = [vf for _, _, vf in members]
-    found, iterations = [(0.0, np.zeros(n))], 0
+    """Candidate equilibria of one good as (F, signed state, share residual)
+    triples, and the root finder's iteration count: the roots of the share
+    sum (``_roots``), or under the linear rules the target levels not below
+    a concave member's (who pays at any lower level), and F = 0 unless a
+    member would pay alone there (alone, F = c) and a root was found."""
+    n, vfs = len(members), [vf for _, _, vf in members]
+    zero = (0.0, np.zeros(n), 0.0)
     if shape.alpha == 0.0:
-        targets = _linear_targets(vfs, lam, shape.scale)
-        found += [(F, _linear_state(targets, F, shape.scale))
-                  for F in set(targets[targets > 0.0].tolist())]
-        return found, iterations
+        targets, floor = _linear_targets(vfs, lam, shape.scale)
+        found = [(F, _linear_state(targets, F, shape.scale), 0.0)
+                 for F in sorted(set(targets.tolist())) if F >= floor and F > 0.0]
+        return ([zero] if floor == 0.0 else []) + found, 0
 
-    marginals = _member_marginals(vfs)
-    shares = _shares(lam, shape.alpha, shape.beta, shape.signed)
-    flexible = lam >= 1.0
-
-    limit = -lam / (1.0 - lam)  # a signed share at V' = 0
+    alpha, beta, signed = shape.alpha, shape.beta, shape.signed
+    marginals, flexible = _member_marginals(vfs), lam >= 1.0
+    shares = _shares(lam, alpha, beta, signed)
+    level_shares = _shares(lam[:, None], alpha, beta, signed)
 
     def settled(F):
         # no root lies past F_hi. Past every hump_end each V' is monotone and
@@ -640,74 +657,38 @@ def _candidates(members, lam, shape):
         # flexible member's share at a root is at most 1, which needs V' >= 1
         v = marginals(F)
         w = shares(v)
-        if shape.signed:
+        if signed:
+            limit = -lam / (1.0 - lam)  # a signed share at V' = 0
             return np.maximum(w, limit).sum() < 1.0 or np.minimum(w, limit).sum() > 1.0
         return w[~flexible].sum() < 1.0 and bool(np.all(v[flexible] < 1.0))
 
-    grid = _level_grid([vf for vf in vfs if vf is not None], settled)
-    grid_marginals = marginals(grid)
-    grid_shares = _shares(lam[:, None], shape.alpha, shape.beta, shape.signed)
-    flex = [] if shape.signed else np.flatnonzero(flexible).tolist()
+    levels = _levels(vfs, marginals, settled)
+    # a share rises in V' below a shadow price of 1 and, signed, falls above;
+    # a harmed member's is 0 unsigned, and a flexible member's is neither
+    rises = [None if lm == 1.0 or lm > 1.0 and not signed else -1 if lm > 1.0
+             else 0 if not signed and vf is not None and vf.a < 0 else 1
+             for vf, lm in zip(vfs, lam.tolist())]
+    flex = [] if signed else np.flatnonzero(flexible).tolist()
     patterns = itertools.islice(itertools.chain.from_iterable(
         itertools.combinations(flex, size) for size in range(len(flex) + 1)), _MAX_PATTERNS)
+    found, iterations = [], 0
     for pattern in patterns:
-        chosen = np.zeros(n, dtype=bool)
-        chosen[list(pattern)] = True
-        above = grid_shares(grid_marginals, chosen[:, None]).sum(axis=0) > 1.0
-
-        def excess(F):
-            # (S - 1)/(|S| + 1) has the sign of S - 1 and stays finite
-            s = float(shares(marginals(F), chosen).sum())
-            return math.copysign(1.0, s) if math.isinf(s) else (s - 1.0) / (abs(s) + 1.0)
-
-        for j in np.flatnonzero(above[:-1] != above[1:]).tolist():
-            lo, hi = float(grid[j]), float(grid[j + 1])
-            e_lo, e_hi = excess(lo), excess(hi)
-            if e_lo * e_hi > 0.0:
-                # V' on floats and on the grid's arrays differ in the last
-                # bits: the sum is within rounding of 1 at one end
-                F = lo if abs(e_lo) < abs(e_hi) else hi
-            else:
-                try:  # 2,200 iterations bisect from 1e250 down to 1e-300
-                    F, its = brentq(excess, lo, hi, 1e-300, 8.9e-16, maxiter=2200)
-                except ValueError:
-                    # a NaN sum has no sign: shares of both signs are infinite
-                    # there (F = 0, or a shadow price of exactly 1)
-                    continue
-                iterations += its
+        chosen = column = None
+        if pattern:
+            chosen = np.zeros(n, dtype=bool)
+            chosen[list(pattern)] = True
+            column = chosen[:, None]
+        roots, its = _roots(lambda F: float(shares(marginals(F), chosen).sum()),
+                            lambda v: level_shares(v, column).sum(axis=0), levels, vfs, rises)
+        iterations += its
+        for F, _ in roots:
             w = shares(marginals(F), chosen)
-            # a bracket across a jump of the sum (a share passing +inf) holds
-            # no root
-            if abs(float(w.sum()) - 1.0) <= 1e-6:
-                found.append((F, _state(w, F, shape.alpha, shape.beta)))
+            residual = abs(float(w.sum()) - 1.0)
+            if residual <= 1e-6:  # not a jump of the sum past +inf
+                found.append((F, _state(w, F, alpha, beta), residual))
+    if not found or np.all(marginals(0.0) <= 1.0):
+        found.insert(0, zero)
     return found, iterations
-
-
-def _solve_good_scan(members, lam, shape, tolerance):
-    """Every candidate equilibrium of one good, certified in order of net
-    welfare: the first certified is reported and the next certified at
-    another level is the alternate. Without a certified candidate the
-    welfare-best is reported, unconverged, with its gap."""
-    with np.errstate(all="ignore"):  # shares pass +inf near F = 0 and at poles
-        found, iterations = _candidates(members, lam, shape)
-    vfs = [vf for _, _, vf in members if vf is not None]
-    ranked = sorted({x.tobytes(): (math.fsum(vf.value(F) for vf in vfs) - F, F, x)
-                     for F, x in found}.values(), key=lambda t: -t[0])
-    best = None
-    for _, F, x in ranked:
-        gap = _gap(members, lam, shape, x, stop=tolerance)
-        if gap > tolerance:
-            continue
-        diag = GoodDiagnostics(True, iterations, gap, "scalar")
-        if best is None:
-            best = (F, x, diag)
-        elif abs(F - best[0]) > 1e-9 * max(1.0, best[0]):
-            return members, best[1], best[2], (x, diag)
-    if best is None:
-        x = ranked[0][2]
-        return members, x, GoodDiagnostics(
-            False, iterations, _gap(members, lam, shape, x), "scalar"), None
-    return members, best[1], best[2], None
 
 
 def _profile_from_state(good_id, members, x) -> ContributionProfile:
@@ -722,48 +703,65 @@ def _profile_from_state(good_id, members, x) -> ContributionProfile:
 
 
 def _solve_good(scenario, good_id, config, tolerance):
-    signed = config.shape.signed
-    shadow = config.deficit_mode is DeficitMode.SHADOW_PRICES
+    """The members, the reported state and its diagnostics, and the
+    alternate's (state, diagnostics) or None (``solve_equilibrium``)."""
+    shape, shadow = config.shape, config.deficit_mode is DeficitMode.SHADOW_PRICES
+    signed = shape.signed
     # deficit-averse outsiders may pay to shrink the match under PM_QF
-    members = [(i, cit, cit.values.get(good_id)) for i, cit in enumerate(scenario.citizens)
+    valuers = [(i, cit, cit.values.get(good_id)) for i, cit in enumerate(scenario.citizens)
                if good_id in cit.values or (signed and shadow and cit.lam > 0)]
-    lam = _lams(members, config)
-    # regular: every member concave with a > 0 and lam < 1; harmed citizens
-    # pay nothing under the unsigned rules. Under PM_QF a shadow price above
-    # 0 can make a share negative, so F = 0 must be certified too. SSHAPED
-    # is looked up once: a lookup through the Enum class per member doubles
-    # this check's cost
+    # regular (module docstring); harmed citizens pay nothing under the
+    # unsigned rules. SSHAPED is looked up once: a lookup through the Enum
+    # class per member doubles this check's cost
     sshaped = Family.SSHAPED
-    if all(vf is not None and vf.family is not sshaped and (vf.a > 0 or not signed)
-           and not (shadow and (cit.lam >= 1.0 or signed and cit.lam > 0.0))
-           for _, cit, vf in members):
-        return _solve_good_vector(members, lam, config.shape, tolerance)
-    return _solve_good_scan(members, lam, config.shape, tolerance)
+    regular = all(vf is not None and vf.family is not sshaped and (vf.a > 0 or not signed)
+                  and not (shadow and (cit.lam >= 1.0 or signed and cit.lam > 0.0))
+                  for _, cit, vf in valuers)
+    members = [m for m in valuers if m[2].a > 0] if regular else valuers
+    lam = _lams(members, config)
+    with np.errstate(all="ignore"):  # shares pass +inf near F = 0 and at poles
+        found, iterations = _candidates(members, lam, shape)
+    kind = "vector" if regular else "scalar"
+
+    def residual(x, r, stop=math.inf):
+        return r if regular else _gap(members, lam, shape, x, stop)
+
+    ranked = list({x.tobytes(): (F, x, r) for F, x, r in found}.values())
+    if len(ranked) > 1:
+        ranked.sort(key=lambda c: c[0] - math.fsum(
+            vf.value(c[0]) for _, _, vf in valuers if vf is not None))
+    best = None
+    for F, x, r in ranked:
+        gap = residual(x, r, tolerance)
+        if gap <= tolerance and (best is None or abs(F - best[0]) > 1e-9 * max(1.0, best[0])):
+            diag = GoodDiagnostics(True, iterations, gap, kind)
+            if best is not None:
+                return members, best[1], best[2], (x, diag)
+            best = (F, x, diag)
+    if best is None:
+        _, x, r = ranked[0]
+        return members, x, GoodDiagnostics(False, iterations, residual(x, r), kind), None
+    return members, best[1], best[2], None
 
 
 def solve_equilibrium(scenario: Scenario, tolerance: float = 1e-8,
                       max_iters: int = 10000, damping: float = 0.5) -> EquilibriumResult:
     """Nash equilibrium of the contribution game under the active rule.
 
-    Each good takes the vector engine's share-sum root where it is regular
-    and the scalar engine's scan otherwise (module docstring). A vector good
-    is converged when its shares sum to 1 within ``tolerance``; F = 0 is
-    its other equilibrium where no member pays alone. The scan's
-    candidates are F = 0 and every root of sum_i w_i(F) = 1 on
-    ``_level_grid``'s levels, each bracketed by a sign change and refined by
-    brentq; a member with a shadow price of 1 or more is scanned both at 0
-    and at their share. Under the linear rules the candidates are F = 0 and
-    each member's target level. Under PM_QF each root is taken at
-    T = +sqrt(F): the game is symmetric under s -> -s, so the mirror state
-    at -T is an equilibrium exactly when that one is, and it is neither
-    certified nor reported. A candidate is certified when
-    max_i |br_i(x) - x_i| <= ``tolerance`` at its state x (``_gap``); it
+    Each good's candidates (``_candidates``; a member with a shadow price
+    of 1 or more is taken both at 0 and at their share) are certified in
+    order of net welfare. Under PM_QF each root is taken at T = +sqrt(F):
+    the game is symmetric under s -> -s, so the mirror state at -T is an
+    equilibrium exactly when that one is, and it is not reported. On a
+    regular good the certificate (``vector``) is that the shares sum to 1
+    within ``tolerance``, on any other (``scalar``) that
+    max_i |br_i(x) - x_i| <= ``tolerance`` at the state x (``_gap``), which
     fails where a best response does not exist. The welfare-best certified
     candidate is reported, with the runner-up at another level as
-    ``alternate``. Without one the good is unconverged and reports its
-    welfare-best candidate, whose gap (inf where best responses do not
-    exist) is the residual. ``iterations`` counts root-finder iterations.
-    ``max_iters`` and ``damping`` are validated and have no effect.
+    ``alternate``; without one the good is unconverged and reports its
+    welfare-best candidate and residual (inf where best responses do not
+    exist). ``iterations`` counts root-finder iterations; ``max_iters`` and
+    ``damping`` are validated and have no effect.
     """
     if not (0.0 < damping <= 1.0):
         raise ValueError("damping must lie in (0, 1]")

@@ -67,7 +67,7 @@ def oracle_value(vf, F):
     z = np.clip(vf.k * (F - vf.m), -700, 700)
     sig = np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)),
                    np.exp(z) / (1.0 + np.exp(z)))
-    off = 1.0 / (1.0 + math.exp(vf.k * vf.m))
+    off = 1.0 / (1.0 + math.exp(min(vf.k * vf.m, 700.0)))
     return vf.a * (sig - off)
 
 

@@ -193,6 +193,21 @@ class TestEquilibrium:
         assert good["funding"] == pytest.approx(9.0, rel=1e-9)
         assert good["optimal"] == pytest.approx(36.0, rel=1e-9)
 
+    def test_engines_name_each_goods_certificate(self, tmp_path, capsys):
+        # a concave good's shares are certified to sum to 1 (vector), an
+        # S-shaped good's members' best responses are checked (scalar)
+        values = {"park": {"family": "SQRT", "params": {"a": 2}},
+                  "bridge": {"family": "SSHAPED", "params": {"a": 20, "k": 0.5, "m": 30}}}
+        scenario = {"mechanism": {"variant": "QF"}, "goods": ["park", "bridge"],
+                    "citizens": [{"id": f"c{i}", "values": values} for i in range(5)]}
+        assert main(["equilibrium", write(tmp_path, "s.json", scenario), "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["diagnostics"]["engines"] == {"park": "vector", "bridge": "scalar"}
+        scenario["mechanism"] = {"variant": "ONE_P_ONE_V"}
+        assert main(["equilibrium", write(tmp_path, "v.json", scenario), "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["diagnostics"]["engines"] == {"park": "vote", "bridge": "vote"}
+
     def test_nonconvergence_exit_3(self, tmp_path, capsys):
         # PM_QF with this harmed citizen has no pure equilibrium, so no
         # candidate is certified

@@ -70,7 +70,8 @@ def brute_force_gain(scenario, good, profile, cit):
 
 def vector_gap(scenario, tolerance=1e-8):
     """The largest gap between a member's exact best response and their
-    contribution at the vector engine's state of the good "g"."""
+    contribution at the reported state of the regular good "g", which its
+    share sum certified."""
     cfg = scenario.mechanism
     members, x, diag, _ = eq._solve_good(scenario, "g", cfg, tolerance)
     assert diag.engine == "vector" and diag.converged
@@ -320,6 +321,22 @@ class TestFirstOrderRoute:
 # solve_equilibrium
 
 
+ENGINE_RULES = [
+    MechanismConfig.qf(),
+    MechanismConfig.cqf(0.1),
+    MechanismConfig.cqf(1.0),
+    MechanismConfig.beta_rule(1.5),
+    MechanismConfig.beta_rule(3.0),
+    MechanismConfig.pm_qf(),
+    MechanismConfig.private(),
+    MechanismConfig.linear_match(2.0),
+]
+
+
+def rule_id(cfg):
+    return f"{cfg.variant.value}{cfg.alpha or cfg.beta or cfg.scale or ''}"
+
+
 class TestSolveEquilibrium:
     def test_qf_sqrt_two_citizens(self):
         sc = sqrt_scenario([2.0, 4.0])
@@ -429,20 +446,38 @@ class TestSolveEquilibrium:
             assert ident == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("n", [6, 30])
-    @pytest.mark.parametrize("cfg", [
-        MechanismConfig.qf(),
-        MechanismConfig.cqf(0.1),
-        MechanismConfig.cqf(1.0),
-        MechanismConfig.beta_rule(1.5),
-        MechanismConfig.beta_rule(3.0),
-        MechanismConfig.pm_qf(),
-        MechanismConfig.private(),
-        MechanismConfig.linear_match(2.0),
-    ], ids=lambda cfg: f"{cfg.variant.value}{cfg.alpha or cfg.beta or cfg.scale or ''}")
+    @pytest.mark.parametrize("cfg", ENGINE_RULES, ids=rule_id)
     def test_engines_agree(self, cfg, n):
-        # the vector state passes the scalar engine's certificate
+        # the state its share sum certifies passes the best-response check
         cits = random_concave_citizens(np.random.default_rng(n), n)
         assert vector_gap(Scenario(cits, ["g"], cfg)) <= 1e-8
+
+    @pytest.mark.parametrize("n", [6, 30])
+    @pytest.mark.parametrize("cfg", ENGINE_RULES, ids=rule_id)
+    def test_concave_goods_keep_their_bits(self, cfg, n):
+        # a regular good's one piece runs from 0 to inf, so its root and state
+        # carry the bits of _unit_root on the share sum, and its optimum those
+        # of _unit_root on the marginal sum; both sides are computed here
+        sc = Scenario(random_concave_citizens(np.random.default_rng(n), n), ["g"], cfg)
+        vfs = [c.values["g"] for c in sc.citizens]
+        members, x, diag, _ = eq._solve_good(sc, "g", cfg, 1e-8)
+        assert diag.engine == "vector" and diag.converged
+        shape = cfg.shape
+        if shape.alpha == 0.0:
+            targets, _ = eq._linear_targets(vfs, eq._lams(members, cfg), shape.scale)
+            want = eq._linear_state(targets, targets.max(), shape.scale)
+        else:
+            marginals = eq._member_marginals(vfs)
+            shares = eq._shares(eq._lams(members, cfg), shape.alpha, shape.beta, shape.signed)
+            with np.errstate(over="ignore"):  # shares near F = 0 pass the float range
+                F = eq._unit_root(lambda F: float(shares(marginals(F)).sum()))[0]
+                found, _ = eq._candidates(members, eq._lams(members, cfg), shape)
+            assert [c[0].hex() for c in found] == [F.hex()]
+            want = eq._state(shares(marginals(F)), F, shape.alpha, shape.beta)
+        assert x.tobytes() == want.tobytes()
+        marginals = eq._member_marginals(vfs)
+        F = eq._unit_root(lambda F: float(marginals(F).sum()))[0]
+        assert optimal_funding(sc, "g").hex() == F.hex()
 
     def test_engines_agree_with_shadow_prices(self, rng):
         shadow = DeficitMode.SHADOW_PRICES
@@ -450,8 +485,8 @@ class TestSolveEquilibrium:
             (MechanismConfig.cqf(0.3, deficit_mode=shadow), (0.0, 0.2)),
             (MechanismConfig.beta_rule(1.6, deficit_mode=shadow), (0.0, 0.2)),
             (MechanismConfig.linear_match(2.0, deficit_mode=shadow), (0.0, 0.2)),
-            # lam >= 1 is outside the share functions' domain: these go to
-            # the scalar engine
+            # lam >= 1 makes a good irregular: its candidates are certified
+            # by best responses
             (MechanismConfig.qf(deficit_mode=shadow), (1.2, 1.2)),
             (MechanismConfig.cqf(0.3, deficit_mode=shadow), (1.2, 1.2)),
         )
@@ -495,7 +530,7 @@ class TestSolveEquilibrium:
         assert r.funding["g2"] == pytest.approx(4.0, rel=1e-6)
 
     def test_nonconvergence_is_diagnostic_not_exception(self):
-        # the harmed-citizen repro has no pure equilibrium: the scan's
+        # the harmed-citizen repro has no pure equilibrium: the solve's
         # result says so without raising, and max_iters has no effect
         sc = Scenario(harmed_repro(), ["g"], MechanismConfig.pm_qf())
         for kw in ({}, {"max_iters": 3}):
@@ -607,12 +642,13 @@ class TestSolveEquilibrium:
 
 
 class TestScalarIteration:
-    """The scalar engine's scan: every root of the share sum, certified."""
+    """Irregular goods: every root of the share sum, certified by every
+    member's best response."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_sshaped_cqf_converges_quickly(self, seed):
         # the interior equilibrium wins on welfare; zero is the alternate,
-        # and the scan's roots take a few dozen root-finder iterations
+        # and the roots take a few dozen root-finder iterations
         rng = np.random.default_rng(seed)
         a, k, m = rng.uniform(16, 24), rng.uniform(0.4, 0.6), rng.uniform(25, 35)
         w = a * (1.0 + 0.05 * rng.uniform(-1, 1, 4))
@@ -669,8 +705,9 @@ class TestScalarIteration:
         assert r.residual > 1e-8
 
     def test_stalled_solve_ends_early(self):
-        # the harmed-citizen repro: both candidates (F = 0 and the one
-        # root) fail their certificate, in a few root-finder iterations
+        # the harmed-citizen repro: F = 0 is dropped, as each supporter
+        # pays alone there, and the one root fails its certificate, after a
+        # few root-finder iterations
         r = solve_equilibrium(Scenario(harmed_repro(), ["g"], MechanismConfig.pm_qf()))
         d = r.diagnostics["g"]
         assert not r.converged and d.engine == "scalar"
@@ -703,7 +740,7 @@ class TestScalarIteration:
 
 class TestCertifiedScan:
     """Repros the fixed-point iteration failed on, and a property check of
-    the scan against a brute-force deviation scan."""
+    the certified roots against a brute-force deviation scan."""
 
     def test_shadow_price_outsiders_certified_empty(self):
         # outsiders pay the constant signed share -lam/(1 - lam), so the one
@@ -825,6 +862,87 @@ class TestCertifiedScan:
             for state in (r, r.alternate) if r.alternate else (r,):
                 assert_brute_force_equilibrium(sc, "g", state.contributions["g"])
         assert converged >= 25
+
+
+class TestRootSearch:
+    """``_roots``: the share sum and the marginal sum split at the S-shaped
+    inflections, each monotone piece solved by one root-find."""
+
+    # three SSHAPED(3000, 2000, 1000) and two SSHAPED(50, 5000, 40) citizens:
+    # humps narrower than one level of a fixed scan, which found no root
+    HUMPS = [((3000.0, 2000.0, 1000.0), 3, 999.99165, 1000.00835),
+             ((50.0, 5000.0, 40.0), 2, 39.99738, 40.00262)]
+
+    @staticmethod
+    def citizens(params, n):
+        return [Citizen(f"c{i}", {"g": ValueFunction.sshaped(*params)}) for i in range(n)]
+
+    @pytest.mark.parametrize("params, n, lower, upper", HUMPS, ids=["k2000", "k5000"])
+    def test_narrow_hump_candidates(self, params, n, lower, upper):
+        sc = Scenario(self.citizens(params, n), ["g"], MechanismConfig.qf())
+        members = [(i, c, c.values["g"]) for i, c in enumerate(sc.citizens)]
+        lam = eq._lams(members, sc.mechanism)
+        with np.errstate(all="ignore"):
+            found, _ = eq._candidates(members, lam, sc.mechanism.shape)
+        F = [c[0] for c in found]
+        assert F[0] == 0.0 and F[1:] == pytest.approx([lower, upper], abs=1e-5)
+        for level in F[1:]:
+            v = [c.values["g"].marginal(level) for c in sc.citizens]
+            assert abs(math.fsum(v) - 1.0) <= 1e-9   # QF: w_i = V_i'(F)
+        # the welfare-best candidate is the upper root
+        r = solve_equilibrium(sc)
+        assert r.funding["g"] == pytest.approx(upper, abs=1e-5)
+
+    @staticmethod
+    def brute_force_argmax(vfs, cost, F_max):
+        # a 2,000,001-level grid refined by golden section (conftest)
+        def W(F):
+            return sum(oracle_value(vf, F) for vf in vfs) - cost * F
+
+        grid = np.linspace(0.0, F_max, 2_000_001)
+        i = int(np.argmax(W(grid)))
+        return golden_refine(lambda F: float(W(np.array(F))),
+                             float(grid[max(i - 1, 0)]), float(grid[min(i + 1, grid.size - 1)]))
+
+    @pytest.mark.parametrize("params, n, lower, upper", HUMPS, ids=["k2000", "k5000"])
+    def test_steep_hump_optimum(self, params, n, lower, upper):
+        cits = self.citizens(params, n)
+        vfs = [c.values["g"] for c in cits]
+        want = self.brute_force_argmax(vfs, 1.0, 2.0 * params[2])
+        assert want == pytest.approx(upper, abs=1e-5)
+        assert optimal_funding(Scenario(cits, ["g"], MechanismConfig.qf()), "g") == \
+            pytest.approx(want, rel=1e-9)
+
+    def test_steep_hump_preferred_level(self):
+        # each of three voters prefers the argmax of V(F) - F/3
+        params, n, _, upper = self.HUMPS[0]
+        cits = self.citizens(params, n)
+        want = self.brute_force_argmax([cits[0].values["g"]], 1.0 / n, 2.0 * params[2])
+        assert want == pytest.approx(upper, abs=1e-5)
+        sc = Scenario(cits, ["g"], MechanismConfig.one_p_one_v())
+        assert one_p_one_v_outcome(sc, "g") == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("a", [2e-110, 2e110])
+    def test_root_past_the_unit_root_bracket(self, a):
+        # two SQRT(a) citizens under QF fund a**2, outside _unit_root's
+        # bracket (1e-200 to 1e200); doubling from 1 brackets it instead,
+        # where the solve once raised ValueError
+        r = solve_equilibrium(sqrt_scenario([a, a]))
+        assert r.converged and r.funding["g"] == pytest.approx(a * a, rel=1e-12)
+
+    def test_shared_inflection_runs_no_scan(self, monkeypatch):
+        # members sharing k and m give two monotone pieces; the share sum's
+        # roots and the optimum need no grid
+        def no_scan(*args):
+            def levels(lo, hi):
+                raise AssertionError(f"[{lo}, {hi}] scanned")
+            return levels
+
+        monkeypatch.setattr(eq, "_levels", no_scan)
+        sc = Scenario(self.citizens((20.0, 0.5, 30.0), 5), ["g"], MechanismConfig.cqf(0.5))
+        r = solve_equilibrium(sc)
+        assert r.converged and r.alternate.funding["g"] == 0.0
+        assert optimal_funding(sc, "g") > 30.0
 
 
 class TestSShapedEquilibria:
