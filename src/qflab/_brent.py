@@ -17,9 +17,10 @@ import math
 RTOL_MIN = 4.0 * 2.220446049250313e-16
 
 
-def brentq(f, a, b, xtol, rtol, maxiter=100):
+def brentq(f, a, b, xtol, rtol, maxiter=100, fa=None, fb=None):
     """A root of f in [a, b], where f(a) and f(b) differ in sign, and the
-    number of iterations taken.
+    number of iterations taken. ``fa`` and ``fb``, where given, are f(a)
+    and f(b), which a caller that has them need not have evaluated again.
 
     Stops when half the bracket is below (xtol + rtol*|x|)/2. Raises
     ValueError on a NaN value of f, on ends of the same sign and on
@@ -33,16 +34,16 @@ def brentq(f, a, b, xtol, rtol, maxiter=100):
     if not maxiter >= 0:
         raise ValueError("maxiter must be >= 0")
 
-    def value(x):
-        fx = float(f(x))
+    def value(x, fx=None):
+        fx = float(f(x) if fx is None else fx)
         if fx != fx:
             raise ValueError(f"the function value at x={x} is NaN; the solver cannot continue")
         return fx
 
     xpre, xcur = float(a), float(b)
     xblk = fblk = spre = scur = 0.0
-    fpre = value(xpre)
-    fcur = value(xcur)
+    fpre = value(xpre, fa)
+    fcur = value(xcur, fb)
     # an end at a root takes no iteration (SciPy leaves its count unset)
     if fpre == 0.0:
         return xpre, 0

@@ -10,11 +10,13 @@ own money.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
 from .errors import PolicyError
+from .preferences import family_groups, family_value
 from .mechanisms import ContributionProfile, MechanismConfig, Variant, fund_qf, funding_gradient
 from .equilibrium import (
     EquilibriumResult,
@@ -92,9 +94,18 @@ class InfluenceIdentityCheck:
     finite_difference: float
 
 
+def _gross(groups, F) -> float:
+    """sum_i V_i(F) over ``family_groups``: ``math.fsum`` over one
+    ``family_value`` column per family."""
+    return math.fsum(itertools.chain.from_iterable(
+        family_value(fam, F, a, rho, k, m).tolist() for fam, _, a, rho, k, m in groups))
+
+
 def welfare(scenario: Scenario, funding: dict[str, float]) -> WelfareReport:
     """Net welfare sum_p [sum_i V_i(F_p) - F_p] at the given funding levels,
-    against the per-good optimum."""
+    against the per-good optimum. Each good's sum_i V_i is ``math.fsum`` over
+    one ``family_value`` column per family at F and one at the optimum, so
+    each term has ``ValueFunction.value``'s bits."""
     per_good = {}
     total_terms = []
     opt_terms = []
@@ -102,12 +113,14 @@ def welfare(scenario: Scenario, funding: dict[str, float]) -> WelfareReport:
         if good not in funding:
             raise ValueError(f"no funding level supplied for good {good!r}")
         F = funding[good]
-        vals = [c.values[good] for c in scenario.citizens if good in c.values]
-        gross = math.fsum(vf.value(F) for vf in vals)
+        groups = family_groups([c.values[good] for c in scenario.citizens if good in c.values])
+        if groups and F < 0:
+            raise ValueError("funding level must be nonnegative")
+        gross = _gross(groups, F)
         F_star = optimal_funding(scenario, good)
         per_good[good] = GoodWelfare(gross=gross, cost=F, optimum=F_star)
         total_terms.append(gross - F)
-        opt_terms.append(math.fsum(vf.value(F_star) for vf in vals) - F_star)
+        opt_terms.append(_gross(groups, F_star) - F_star)
     total = math.fsum(total_terms)
     optimum = math.fsum(opt_terms)
     if optimum > 0:

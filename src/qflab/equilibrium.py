@@ -54,7 +54,8 @@ from .mechanisms import (
     fund,
     settle_deficit,
 )
-from .preferences import Citizen, Family, ValueFunction, aggregate_marginal, family_marginal
+from .preferences import (
+    Citizen, Family, ValueFunction, aggregate_marginal, family_groups, family_marginal)
 
 
 @dataclass
@@ -142,15 +143,16 @@ def _geomspace(lo: float, hi: float, num: int) -> np.ndarray:
 def _welfare_optimum(vfs: list[ValueFunction], cost: float) -> float:
     """The F >= 0 that maximises sum_i V_i(F) - cost*F: the best of its
     local maxima, each a root where sum_i V_i'(F) falls through cost
-    (``_roots``), and of F = 0 where welfare does not rise from it. Ties go
-    to 0."""
+    (``_roots``, which leaves the minima, where it rises through, unrefined),
+    and of F = 0 where welfare does not rise from it. Ties go to 0."""
     marginals = _member_marginals(vfs)
 
     def total(F):
         return float(marginals(F).sum()) / cost
 
     roots, _ = _roots(total, lambda v: v.sum(axis=0) / cost,
-                      _levels(vfs, marginals, lambda F: total(F) < 1.0), vfs, [1] * len(vfs))
+                      _levels(vfs, marginals, lambda F: total(F) < 1.0), vfs, [1] * len(vfs),
+                      refine_rising=False)
     # welfare rises from 0 exactly where the sum falls through its first root
     maxima = [0.0] * (not roots or not roots[0][1]) + [F for F, falls in roots if falls]
     if len(maxima) == 1:
@@ -254,16 +256,18 @@ def _refine(slope, grid, i) -> float:
     d_x = d(x)
     if d_x > 0.0 and i + 1 < len(grid):
         lo, hi = x, float(grid[i + 1])
-        if not d(hi) <= 0.0:
+        d_lo, d_hi = d_x, d(hi)
+        if not d_hi <= 0.0:
             return x
     elif d_x < 0.0 and i > 0:
         lo, hi = float(grid[i - 1]), x
-        if not d(lo) >= 0.0:
+        d_lo, d_hi = d(lo), d_x
+        if not d_lo >= 0.0:
             return x
     else:
         return x
     # Brent's bound on the steps is about log2(cell/tolerance)**2 = 50**2
-    return brentq(d, lo, hi, 1e-15 * max(1.0, hi), 8.9e-16, maxiter=2500)[0]
+    return brentq(d, lo, hi, 1e-15 * max(1.0, hi), 8.9e-16, maxiter=2500, fa=d_lo, fb=d_hi)[0]
 
 
 def _maximize_branch(obj: _Objective) -> tuple[float, float]:
@@ -398,21 +402,11 @@ def best_response(citizen: Citizen, good_id: str, others: ContributionProfile,
 def _member_marginals(vfs):
     """Per-member V'(F) at one level F, or a (members, levels) array at a
     vector of levels: one ``family_marginal`` call per family, with the
-    members grouped once and an ISOELASTIC group's a*rho and rho - 1 formed
-    once. A member whose value is None (an outsider) has V' = 0."""
-    by_family = {}
-    for j, vf in enumerate(vfs):
-        if vf is not None:
-            by_family.setdefault(vf.family, []).append(j)
-    groups = []
-    for fam, idx in by_family.items():
-        a, e, k, m = np.array([vfs[j].a for j in idx]), None, None, None
-        if fam is Family.ISOELASTIC:
-            rho = np.array([vfs[j].rho for j in idx])
-            a, e = a * rho, rho - 1.0
-        elif fam is Family.SSHAPED:
-            k, m = np.array([vfs[j].k for j in idx]), np.array([vfs[j].m for j in idx])
-        groups.append((fam, np.array(idx), a, e, k, m))
+    members grouped once (``family_groups``) and an ISOELASTIC group's a*rho
+    and rho - 1 formed once. A member whose value is None (an outsider) has
+    V' = 0."""
+    groups = [(fam, idx, a * rho, rho - 1.0, k, m) if fam is Family.ISOELASTIC
+              else (fam, idx, a, None, k, m) for fam, idx, a, rho, k, m in family_groups(vfs)]
 
     def marginals(F) -> np.ndarray:
         if isinstance(F, float):  # the root finders' path, kept lean
@@ -469,16 +463,76 @@ def _state(w: np.ndarray, F: float, alpha: float, beta: float) -> np.ndarray:
     return np.copysign(w ** beta, w) * F / (alpha + (1.0 - alpha) * float(np.sum(w * w)))
 
 
+# _unit_root's lattice: 2**k up from 1 until 2**k >= 1e200 (k = 665), and
+# 0.5/16**k down from 1 until 0.5/16**k <= 1e-200 (k = 166)
+_UP_CAP, _DOWN_CAP = 665, 166
+
+
 def _unit_root(g) -> tuple[float, int]:
     """F with g(F) = 1 for a g that falls in F and exceeds 1 near 0, and
-    the root finder's iteration count. Brackets by doubling up from 1 or
-    dividing down by 16, then runs brentq to full precision."""
-    lo, hi = 0.5, 1.0
-    while g(hi) > 1.0 and hi < 1e200:
-        lo, hi = hi, 2.0 * hi
-    while g(lo) <= 1.0 and lo > 1e-200:
-        lo, hi = lo / 16.0, lo
-    return brentq(lambda F: g(F) - 1.0, lo, hi, 1e-300, 8.9e-16)
+    the root finder's iteration count. The bracket is the first power of
+    two 2**k up from 1 at which g is not above 1, and its half; or, where
+    g(1) is not above 1, the first 0.5/16**k down from 1 at which g is
+    above 1, and the level before it (1 for k = 0). Past the caps (2**665
+    up, 0.5/16**166 down) the cap ends the bracket whatever g is there.
+    The first step (2 or 0.5) is tried at once, further ones found by
+    ``_lattice_crossing``; brentq starts from the ends' known values."""
+    g_1 = g(1.0)
+    up = g_1 > 1.0
+    x = 2.0 if up else 0.5
+    g_x = g(x)
+    if (g_x > 1.0) if up else (g_x <= 1.0):
+        x_a, g_a, x_b, g_b = _lattice_crossing(g, up, g_1, g_x)
+    else:
+        x_a, g_a, x_b, g_b = 1.0, g_1, x, g_x
+    lo, hi, g_lo, g_hi = (x_a, x_b, g_a, g_b) if up else (x_b, x_a, g_b, g_a)
+    return brentq(lambda F: g(F) - 1.0, lo, hi, 1e-300, 8.9e-16,
+                  fa=g_lo - 1.0, fb=g_hi - 1.0)
+
+
+def _lattice_crossing(g, up, g_1, g_a):
+    """``_unit_root``'s bracket where g is still on the near side of 1 (above
+    it going up, at most 1 going down) at the first step, index 1 going up
+    (level 2) and 0 going down (level 0.5); g_1 and g_a are g at 1 and
+    there. Returns the near end of the bracket, g there, the far end and g
+    there.
+
+    Each probe is a secant on log g against the exponent, exact for a power
+    law, through the last two levels where g was finite and positive; it
+    lies strictly between the nearest levels known on either side. Without
+    a secant, or after six probes in a row on one side, the probe doubles
+    its distance from the near side (galloping) or, with both sides known,
+    bisects."""
+    # g is on the near side at index a, level x_a, and past it at b, x_b
+    # (or b is the cap and g_b None). Going down, level 1 has index -1, which
+    # the secant places at -1/4, as 0.5/16**k = 2**(-1 - 4k)
+    a, b, x_a = (1, _UP_CAP, 2.0) if up else (0, _DOWN_CAP, 0.5)
+    g_b, run = None, 1
+    k1 = h1 = k2 = h2 = None
+    for k, g_k in (((0.0 if up else -0.25), g_1), (float(a), g_a)):
+        if 0.0 < g_k < math.inf:
+            k1, h1, k2, h2 = k2, h2, k, math.log(g_k)
+    while b - a > 1:
+        if h1 is None or h1 == h2 or abs(run) >= 6:
+            p = a + (1 << run) if g_b is None else (a + b) // 2
+        else:
+            t = k2 - h2 * (k2 - k1) / (h2 - h1)
+            t = a if t < a else b if t > b else t
+            # the first index expected past 1
+            p = math.ceil(t) if up else math.floor(t) + 1
+        p = a + 1 if p <= a else b - 1 if p >= b else p
+        x = math.ldexp(1.0, p) if up else math.ldexp(0.5, -4 * p)
+        g_p = g(x)
+        if (g_p > 1.0) if up else (g_p <= 1.0):
+            a, x_a, g_a, run = p, x, g_p, run + 1 if run > 0 else 1
+        else:
+            b, x_b, g_b, run = p, x, g_p, run - 1 if run < 0 else -1
+        if 0.0 < g_p < math.inf:
+            k1, h1, k2, h2 = k2, h2, float(p), math.log(g_p)
+    if g_b is None:
+        x_b = math.ldexp(1.0, b) if up else math.ldexp(0.5, -4 * b)
+        g_b = g(x_b)
+    return x_a, g_a, x_b, g_b
 
 
 def _gap(members, lam, shape, x, stop=math.inf) -> float:
@@ -557,18 +611,21 @@ def _levels(vfs, marginals, settled):
     return levels
 
 
-def _roots(total, level_sums, levels, vfs, rises):
+def _roots(total, level_sums, levels, vfs, rises, refine_rising=True):
     """Every F >= 0 with total(F) = 1 as (F, falls) pairs, ``falls`` where
-    the sum falls through 1, and the root finder's iteration count. Each
-    term of total depends on F only through one member's V'(F) (``vfs``,
-    None for V' = 0), in the direction ``rises`` gives (1, -1, 0 constant,
-    None neither). A concave V' falls where a > 0 and rises where a < 0, an
-    S-shaped one rises below its inflection m and falls above, so [0, inf)
-    is split at the distinct m. Where no two terms move apart the sum is
-    monotone: its ends (at inf its limit, every V' 0) show whether it
-    crosses 1, and one bracket (``_unit_root``'s from 0 to inf where it
-    falls) finds where. Elsewhere every sign change of ``level_sums`` on
-    ``levels(lo, hi)`` brackets a root.
+    the sum falls through 1, and the root finder's iteration count; with
+    ``refine_rising`` False a root the sum rises through is not refined
+    and stands at its bracket's lower end. Each term of total depends on F
+    only through one member's V'(F) (``vfs``, None for V' = 0), in the
+    direction ``rises`` gives (1, -1, 0 constant, None neither). A concave
+    V' falls where a > 0 and rises where a < 0, an S-shaped one rises below
+    its inflection m and falls above, so [0, inf) is split at the distinct m.
+    Where no two terms move apart the sum is monotone: its ends (at inf its
+    limit, every V' 0) show whether it crosses 1, and one bracket
+    (``_unit_root``'s from 0 to inf where it falls) finds where. Elsewhere
+    every sign change of ``level_sums`` on ``levels(lo, hi)`` brackets a
+    root. brentq starts from the bracket ends' values of the sum, found
+    while bracketing.
     """
     def excess(F):
         # (S - 1)/(|S| + 1) has the sign of S - 1 and stays finite
@@ -614,9 +671,11 @@ def _roots(total, level_sums, levels, vfs, rises):
             # V' on floats and on the levels' arrays differ in the last
             # bits: the sum is within rounding of 1 at one end
             F = lo if abs(e_lo) < abs(e_hi) else hi
+        elif e_hi > e_lo and not refine_rising:
+            F = lo
         else:
             try:  # 2,200 iterations bisect from 1e250 down to 1e-300
-                F, its = brentq(excess, lo, hi, 1e-300, 8.9e-16, maxiter=2200)
+                F, its = brentq(excess, lo, hi, 1e-300, 8.9e-16, maxiter=2200, fa=e_lo, fb=e_hi)
             except ValueError:
                 # a NaN sum has no sign: shares of both signs are infinite
                 # there (F = 0, or a shadow price of exactly 1)
@@ -692,14 +751,13 @@ def _candidates(members, lam, shape):
 
 
 def _profile_from_state(good_id, members, x) -> ContributionProfile:
-    ids, amounts, signs = [], [], []
-    for j, (_, cit, _) in enumerate(members):
-        amt = abs(float(x[j]))
-        if amt > 0.0:
-            ids.append(cit.id)
-            amounts.append(amt)
-            signs.append(1 if x[j] >= 0 else -1)
-    return ContributionProfile.from_columns(good_id, ids, amounts, signs)
+    """The members' entries of the signed state x with |x| > 0, so not -0.0
+    or NaN, as amounts |x| and signs."""
+    amounts = np.abs(x)
+    paying = np.flatnonzero(amounts > 0.0)
+    return ContributionProfile.from_columns(
+        good_id, [members[j][1].id for j in paying.tolist()], amounts[paying].tolist(),
+        np.where(x[paying] > 0.0, 1, -1).tolist())
 
 
 def _solve_good(scenario, good_id, config, tolerance):

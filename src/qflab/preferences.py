@@ -21,9 +21,10 @@ Every family formula, parameter name (``FAMILY_PARAMS``, read by
 branch on a family only to route a good to an engine. ``value`` and
 ``marginal`` take a Python float or int F (``np.float64`` is a float) on
 Python floats, with the array path's bits (both take exp from ``np.exp``),
-and anything else as an array. The array form of V' is ``family_marginal``:
-``ValueFunction.marginal`` calls it with one citizen's parameters, the
-engines with one per member, ISOELASTIC's formed once per solve.
+and anything else as an array. The array forms of V and V' are
+``family_value`` and ``family_marginal``: ``ValueFunction`` calls them with
+one citizen's parameters, the engines and welfare with one per member of a
+family (``family_groups``), ISOELASTIC's V' parameters formed once per solve.
 """
 
 from __future__ import annotations
@@ -84,6 +85,43 @@ def _expit_array(x) -> np.ndarray:
     high = x > -709.0
     e = np.exp(np.where(high, -x, x))
     return np.where(high, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def family_groups(vfs):
+    """The values in ``vfs`` (None skipped) grouped by family, in order of
+    first appearance: (family, indices into vfs, a, rho, k, m), each
+    parameter an array over the group or None where the family has none."""
+    by_family = {}
+    for j, vf in enumerate(vfs):
+        if vf is not None:
+            by_family.setdefault(vf.family, []).append(j)
+    groups = []
+    for fam, idx in by_family.items():
+        members = [vfs[j] for j in idx]
+        rho = k = m = None
+        if fam is _ISOELASTIC:
+            rho = np.array([vf.rho for vf in members])
+        elif fam is _SSHAPED:
+            k, m = np.array([vf.k for vf in members]), np.array([vf.m for vf in members])
+        groups.append((fam, np.array(idx), np.array([vf.a for vf in members]), rho, k, m))
+    return groups
+
+
+def family_value(family, F, a, rho=None, k=None, m=None):
+    """V(F) of one family on numpy values, F an array or a float and the
+    parameters scalars or one per member. For a float F and one rho per
+    member each element has ``ValueFunction.value``'s float-path bits: its
+    0-d power takes a scalar exponent of 0.5 to sqrt, as numpy does."""
+    if family is _SQRT:
+        return a * np.sqrt(F)
+    if family is _LOG:
+        return a * np.log1p(F)
+    if family is _SSHAPED:
+        return a * (_expit_array(k * (F - m)) - _expit_array(-k * m))
+    if isinstance(rho, np.ndarray):
+        F = np.full(rho.shape, float(F))
+        return a * np.where(rho == 0.5, np.sqrt(F), F ** rho)
+    return a * F ** rho
 
 
 def family_marginal(family, F, a, e=None, k=None, m=None):
@@ -196,15 +234,7 @@ class ValueFunction:
                 return self.a * float(np.asarray(F) ** self.rho)
             return self.a * (_expit(self.k * (F - self.m)) - _expit(-self.k * self.m))
         arr = _as_float_array(F)
-        fam = self.family
-        if fam is _SQRT:
-            out = self.a * np.sqrt(arr)
-        elif fam is _LOG:
-            out = self.a * np.log1p(arr)
-        elif fam is _ISOELASTIC:
-            out = self.a * arr**self.rho
-        else:
-            out = self.a * (_expit_array(self.k * (arr - self.m)) - _expit(-self.k * self.m))
+        out = family_value(self.family, arr, self.a, self.rho, self.k, self.m)
         return out if arr.ndim else float(out)
 
     def marginal(self, F):

@@ -55,6 +55,32 @@ class TestWelfare:
         assert rep.optimum_total == 0.0
         assert rep.efficiency_ratio == 1.0
 
+    @pytest.mark.parametrize("F", [0.0, 1e-12, 0.37, 25.0, 3e7])
+    def test_sums_have_each_values_bits(self, F):
+        # welfare sums one column per family; the sums are math.fsum over
+        # each member's float-path V, for all four families, harmed members
+        # and ISOELASTIC's rho = 0.5, which numpy's 0-d power takes to sqrt
+        rng = np.random.default_rng(20261022)
+        vfs = [ValueFunction.sqrt(2.5), ValueFunction.sqrt(-1.5), ValueFunction.log(3.0),
+               ValueFunction.log(-0.7), ValueFunction.isoelastic(2.0, 0.5),
+               ValueFunction.isoelastic(-1.2, 0.5), ValueFunction.sshaped(20.0, 0.5, 30.0),
+               ValueFunction.sshaped(5.0, 800.0, 2.0)]
+        vfs += [c.values["g"] for c in random_concave_citizens(rng, 40)]
+        vfs += [ValueFunction.isoelastic(-float(a), float(r))
+                for a, r in zip(rng.uniform(0.5, 5.0, 10), rng.uniform(0.2, 0.8, 10))]
+        sc = Scenario([Citizen(f"c{i}", {"g": vf}) for i, vf in enumerate(vfs)], ["g"],
+                      MechanismConfig.qf())
+        rep = welfare(sc, {"g": F})
+        assert rep.per_good["g"].gross.hex() == math.fsum(vf.value(F) for vf in vfs).hex()
+        F_star = rep.per_good["g"].optimum
+        assert F_star == optimal_funding(sc, "g")
+        want = math.fsum(vf.value(F_star) for vf in vfs) - F_star
+        assert rep.optimum_total.hex() == want.hex()
+
+    def test_negative_funding_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            welfare(sqrt_scenario([2.0]), {"g": -1.0})
+
     def test_missing_good_rejected(self):
         sc = sqrt_scenario([2.0])
         with pytest.raises(ValueError):

@@ -140,6 +140,30 @@ def test_minimum_matches_recorded(i):
     assert f(x) <= f_recorded + 1e-15 * max(1.0, abs(f_recorded))
 
 
+@pytest.mark.parametrize("i", range(len(root_cases())))
+def test_known_end_values_change_nothing(i):
+    # f(a) and f(b) handed in: the same bits and count, two evaluations fewer
+    kind, p, a, b, xtol, rtol = root_cases()[i]
+    f = _function(kind, p)
+    seen, handed = [], []
+    want = brentq(lambda x: seen.append(x) or f(x), a, b, xtol, rtol)
+    x, iterations = brentq(lambda x: handed.append(x) or f(x), a, b, xtol, rtol,
+                           fa=f(a), fb=f(b))
+    assert (x.hex(), iterations) == (want[0].hex(), want[1])
+    assert handed == seen[2:]
+
+
+@pytest.mark.parametrize("i", range(len(min_cases())))
+def test_refine_evaluates_each_level_once(i):
+    # _refine hands brentq the slope at the cell's ends it has computed
+    kind, p, lo, hi, _, _ = min_cases()[i]
+    f, slope = _function(kind, p), _slope(kind, p)
+    grid = np.linspace(lo, hi, 257)
+    seen = []
+    _refine(lambda x: seen.append(x) or -slope(x), grid, int(np.argmax([-f(x) for x in grid])))
+    assert len(seen) == len(set(seen))
+
+
 def test_an_end_at_a_root_takes_no_iteration():
     assert brentq(lambda x: x - 1.0, 1.0, 2.0, 2e-12, RTOL_MIN) == (1.0, 0)
     assert brentq(lambda x: x - 2.0, 1.0, 2.0, 2e-12, RTOL_MIN) == (2.0, 0)
@@ -156,10 +180,21 @@ class TestRootErrors:
             brentq(lambda x: x - 0.3 if x in (-1.0, 1.0) else math.nan,
                    -1.0, 1.0, 2e-12, RTOL_MIN)
 
+    def test_nan_handed_in(self):
+        for fa, fb in ((math.nan, 1.0), (-1.0, math.nan)):
+            with pytest.raises(ValueError, match="NaN"):
+                brentq(lambda x: x, -1.0, 1.0, 2e-12, RTOL_MIN, fa=fa, fb=fb)
+
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_same_sign(self, sign):
         with pytest.raises(ValueError, match="different signs"):
             brentq(lambda x: sign * (x * x + 1.0), -1.0, 2.0, 2e-12, RTOL_MIN)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_same_sign_handed_in(self, sign):
+        with pytest.raises(ValueError, match="different signs"):
+            brentq(lambda x: sign * (x * x + 1.0), -1.0, 2.0, 2e-12, RTOL_MIN,
+                   fa=sign * 2.0, fb=sign * 5.0)
 
     @pytest.mark.parametrize("xtol, rtol", [(0.0, RTOL_MIN), (-1.0, RTOL_MIN),
                                             (math.nan, RTOL_MIN), (2e-12, 1e-16),

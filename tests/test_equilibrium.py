@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qflab import equilibrium as eq
+from qflab._brent import brentq
 from qflab import (
     Citizen,
     ContributionProfile,
@@ -930,6 +931,43 @@ class TestRootSearch:
         r = solve_equilibrium(sqrt_scenario([a, a]))
         assert r.converged and r.funding["g"] == pytest.approx(a * a, rel=1e-12)
 
+    def test_rising_roots_left_unrefined(self, monkeypatch):
+        # the welfare optimum takes only the roots the marginal sum falls
+        # through: those keep their bits and every crossing its direction,
+        # while a rising one stands at its bracket's lower end
+        rng = np.random.default_rng(20261019)
+        calls = {"all": 0, "falling": 0}
+        real = eq.brentq
+
+        def counting(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(eq, "brentq", counting)
+        for _ in range(30):
+            vfs = [ValueFunction.sshaped(float(rng.uniform(1.0, 100.0)),
+                                         float(10.0 ** rng.uniform(-1.5, 1.0)),
+                                         float(rng.uniform(1.0, 100.0)))
+                   for _ in range(int(rng.integers(1, 4)))]
+            vfs += [c.values["g"] for c in random_concave_citizens(rng, int(rng.integers(0, 3)))]
+            if rng.uniform() < 0.3:
+                vfs.append(ValueFunction.log(-float(rng.uniform(0.5, 5.0))))
+            marginals = eq._member_marginals(vfs)
+
+            def total(F):
+                return float(marginals(F).sum())
+
+            args = (total, lambda v: v.sum(axis=0),
+                    eq._levels(vfs, marginals, lambda F: total(F) < 1.0), vfs, [1] * len(vfs))
+            key = "all"
+            every, _ = eq._roots(*args)
+            key = "falling"
+            falling, _ = eq._roots(*args, refine_rising=False)
+            assert [d for _, d in falling] == [d for _, d in every]
+            for (F, falls), (G, _) in zip(every, falling):
+                assert G == F if falls else G <= F
+        assert calls["falling"] < calls["all"]
+
     def test_shared_inflection_runs_no_scan(self, monkeypatch):
         # members sharing k and m give two monotone pieces; the share sum's
         # roots and the optimum need no grid
@@ -1144,3 +1182,135 @@ def test_geomspace_has_numpys_bits():
         for lo, num in ((1e-9, 256), (1e-9 * hi, 3000)):
             assert eq._geomspace(lo, float(hi), num).tobytes() == \
                 np.geomspace(lo, float(hi), num).tobytes(), (lo, hi, num)
+
+
+def doubling_unit_root(g):
+    # _unit_root's bracket found step by step: doubling up from 1 until g is
+    # not above 1 (or 2**k reaches 1e200), else dividing down by 16 until g
+    # is above 1 (or the level reaches 1e-200); brentq evaluates both ends
+    lo, hi = 0.5, 1.0
+    while g(hi) > 1.0 and hi < 1e200:
+        lo, hi = hi, 2.0 * hi
+    while g(lo) <= 1.0 and lo > 1e-200:
+        lo, hi = lo / 16.0, lo
+    return brentq(lambda F: g(F) - 1.0, lo, hi, 1e-300, 8.9e-16)
+
+
+def power_law(r, p):
+    # (r/F)**p in logs, capped at e**700 so that no power overflows
+    log_r = math.log(r)
+    return lambda F: math.exp(min(700.0, p * (log_r - math.log(F)))) if F > 0.0 else math.inf
+
+
+class TestUnitRoot:
+    """``_unit_root`` finds the doubling/dividing bracket by a secant search
+    and hands brentq the end values it found."""
+
+    @staticmethod
+    def outcome(g):
+        try:
+            F, its = g()
+        except ValueError as e:
+            return "ValueError", str(e).split(" at x=")[0]
+        return F.hex(), its
+
+    @staticmethod
+    def falling(rng):
+        # seeded falling g, roots from 1e-195 to 1e195
+        cases = []
+        for i in range(240):
+            r = float(10.0 ** rng.uniform(-195.0, 195.0))
+            p = float(rng.uniform(0.05, 3.0))
+            kind = i % 4
+            if kind == 0:
+                cases.append(power_law(r, p))
+            elif kind == 1:
+                # a sum of power laws: log g is convex in log F
+                parts = [power_law(r, float(q)) for q in rng.uniform(0.1, 2.0, 3)]
+                cases.append(lambda F, parts=parts: sum(f(F) for f in parts) / 3.0)
+            elif kind == 2:
+                # saturating near 0, as a LOG member's share
+                cases.append(lambda F, r=r, p=p: ((1.0 + r) / (1.0 + F)) ** min(p, 1.0))
+            else:
+                # a pole: +inf below r/8
+                law = power_law(r, p)
+                cases.append(lambda F, r=r, law=law: math.inf if F < r / 8.0 else law(F))
+        return cases
+
+    @staticmethod
+    def edges():
+        cases = []
+        for e in (-664, -661, -200, -5, -1, 0, 1, 2, 3, 64, 300, 663, 664):
+            r = math.ldexp(1.0, e)
+            # g is exactly 1 at a power of two (sqrt(4**k) is exact)
+            cases += [lambda F, r=r: r / F if F > 0.0 else math.inf,
+                      lambda F, r=r: math.sqrt(r / F) if F > 0.0 else math.inf]
+        for r in (1e-3, 0.7, 1.0, 3.0, 1e5, 1e150):
+            # 0 past the root
+            cases.append(lambda F, r=r: max(0.0, 2.0 - F / r))
+        # both caps: above 1 everywhere, at most 1 everywhere, and roots past
+        # each cap and just inside it
+        cases += [lambda F: 2.0, lambda F: 0.5, lambda F: 1.0,
+                  power_law(1e210, 0.5), power_law(1e-210, 0.5),
+                  power_law(math.ldexp(1.0, 664) * 1.5, 0.5),
+                  power_law(math.ldexp(1.0, -663), 0.5)]
+        return cases
+
+    def test_same_bracket_as_doubling(self):
+        rng = np.random.default_rng(20261022)
+        for g in self.falling(rng) + self.edges():
+            want = self.outcome(lambda: doubling_unit_root(g))
+            assert self.outcome(lambda: eq._unit_root(g)) == want
+
+    def test_concave_roots_take_few_evaluations(self, monkeypatch):
+        # the share sum of a seeded concave good, evaluated by the search and
+        # by brentq, each level once; doubling up from 1 took 22 to 40 per root
+        counts = {}
+        unit_root = eq._unit_root
+
+        def counting(g):
+            seen = []
+            out = unit_root(lambda F: seen.append(F) or g(F))
+            assert len(set(seen)) == len(seen)
+            counts.setdefault(key, []).append(len(seen))
+            return out
+
+        monkeypatch.setattr(eq, "_unit_root", counting)
+        for n in (30, 150, 1000):
+            for cfg in (MechanismConfig.qf(), MechanismConfig.cqf(0.5),
+                        MechanismConfig.beta_rule(1.5)):
+                key = (n, cfg.variant.value)
+                rng = np.random.default_rng([20261022, n])
+                for _ in range(4 if n < 1000 else 2):
+                    sc = Scenario(random_concave_citizens(rng, n), ["g"], cfg)
+                    eq._solve_good(sc, "g", cfg, 1e-8)
+        assert all(len(c) == (4 if n < 1000 else 2) for (n, _), c in counts.items())
+        evaluations = [e for c in counts.values() for e in c]
+        assert len(counts) == 9
+        assert sum(evaluations) / len(evaluations) <= 15.0, counts
+
+
+def test_profile_from_state_matches_entry_loop():
+    def entry_loop(good_id, members, x):
+        ids, amounts, signs = [], [], []
+        for j, (_, cit, _) in enumerate(members):
+            amt = abs(float(x[j]))
+            if amt > 0.0:
+                ids.append(cit.id)
+                amounts.append(amt)
+                signs.append(1 if x[j] >= 0 else -1)
+        return ContributionProfile.from_columns(good_id, ids, amounts, signs)
+
+    rng = np.random.default_rng(20261022)
+    states = [np.array([1.5, -0.0, 0.0, -2.25, math.nan, 5e-324, -5e-324, 3.0, -0.0]),
+              np.zeros(9), np.full(9, -0.0)]
+    for _ in range(20):
+        x = rng.normal(size=9) * 10.0 ** rng.uniform(-300, 300, 9)
+        x[rng.uniform(size=9) < 0.3] = rng.choice([0.0, -0.0])
+        states.append(x)
+    members = [(i, Citizen(f"c{i}"), None) for i in range(9)]
+    for x in states:
+        got, want = eq._profile_from_state("g", members, x), entry_loop("g", members, x)
+        assert got.citizen_ids == want.citizen_ids and got.signs == want.signs
+        assert [a.hex() for a in got.amounts] == [a.hex() for a in want.amounts]
+        assert all(type(s) is int for s in got.signs)

@@ -212,6 +212,24 @@ class TestFloatPath:
                 with pytest.raises(ValueError, match="funding level must be nonnegative"):
                     getattr(vf, method)(np.asarray(F, dtype=float))
 
+    def test_family_value_columns(self, rng):
+        # one column per family at one level, as welfare sums them: each
+        # element is that member's float-path V(F)
+        from qflab.preferences import family_groups, family_value
+
+        for n in (1, 5, 40):
+            vfs = [vf for _ in range(n) for vf in signed_families(rng)]
+            vfs.append(ValueFunction.sshaped(3.0, 10.0, 100.0))  # past exp's range
+            groups = family_groups(vfs)
+            assert sorted(j for g in groups for j in g[1].tolist()) == list(range(len(vfs)))
+            Fs = np.concatenate([self.EDGES, np.exp(rng.uniform(-40.0, 40.0, 30)),
+                                 rng.uniform(0.0, 200.0, 30)])
+            for F in Fs.tolist():
+                for fam, idx, *params in groups:
+                    got = family_value(fam, F, *params).tolist()
+                    assert all(same_bits(x, vfs[j].value(F)) for x, j in zip(got, idx.tolist())), \
+                        (fam, F)
+
     def test_member_marginals(self, rng):
         from qflab.equilibrium import _member_marginals
 
